@@ -54,8 +54,8 @@ gated when present in the current report:
   through the same kernels as eager, capping the end-to-end ratio);
 * ``compiled_peak_saved_bytes_ratio`` (compiled/eager peak retained
   activation bytes over an identical profiled fit) must stay at or below
-  ``--compiled-peak-bytes-threshold`` (default 1.0 — the buffer-pooled
-  replay must never retain more than the eager freeing watermark).
+  ``--compiled-peak-bytes-threshold`` (default 1.0 — compiled replay
+  must never retain more than the eager freeing watermark).
 
 Facts the substrate bench unconditionally records (everything above except
 the optional grid and serving sections) are *required*: a report missing
@@ -279,7 +279,7 @@ def check_trace_store_facts(current: dict, indexed_threshold: float) -> int:
 
 def check_compiled_facts(current: dict, fwd_threshold: float,
                          step_threshold: float, peak_threshold: float) -> int:
-    """Gate the graph compiler's speedups and memory plan; 0 = ok, 1 = fail."""
+    """Gate the graph compiler's speedups and peak bytes; 0 = ok, 1 = fail."""
     ver = current.get("verification", {})
     if "compiled_forward_speedup" not in ver:
         return 0  # absence is reported by check_required_facts
@@ -290,9 +290,7 @@ def check_compiled_facts(current: dict, fwd_threshold: float,
           f"train step {step:.2f}x (threshold {step_threshold:.2f}x); "
           f"batch8 step {ver.get('compiled_train_step_speedup_batch8', 0):.2f}x, "
           f"infer {ver.get('compiled_infer_forward_speedup', 0):.2f}x "
-          "(informational); "
-          f"{ver.get('compiled_ops_fused_away', '?')} ops fused away, "
-          f"{ver.get('compiled_pool_buffers', '?')} pooled buffers")
+          "(informational)")
     if fwd < fwd_threshold:
         print(f"FAIL: compiled forward replay only reached {fwd:.2f}x the "
               f"interpreted forward (minimum {fwd_threshold:.2f}x) — the "
@@ -303,7 +301,7 @@ def check_compiled_facts(current: dict, fwd_threshold: float,
         print(f"FAIL: compiled train step only reached {step:.2f}x eager "
               f"(minimum {step_threshold:.2f}x); note the backward half is "
               "compute-parity by the bitwise contract, so regressions here "
-              "are in replay dispatch or the finalised backward program",
+              "are in replay dispatch or the backward program walk",
               file=sys.stderr)
         failures += 1
     if not ver.get("compiled_validated", False):
@@ -319,7 +317,7 @@ def check_compiled_facts(current: dict, fwd_threshold: float,
         if ratio > peak_threshold:
             print(f"FAIL: compiled execution retained {ratio:.3f}x the eager "
                   f"peak saved-activation bytes (limit {peak_threshold:.2f}x) "
-                  "— the memory plan exceeds the freeing watermark",
+                  "— compiled replay exceeds the freeing watermark",
                   file=sys.stderr)
             failures += 1
     return 1 if failures else 0
@@ -410,7 +408,7 @@ def main(argv=None) -> int:
                         default=1.0,
                         help="max compiled/eager peak saved-activation "
                              "bytes ratio over an identical profiled fit "
-                             "(1.0 = the memory plan must not exceed the "
+                             "(1.0 = compiled replay must not exceed the "
                              "eager freeing watermark)")
     args = parser.parse_args(argv)
     for path in (args.current, args.baseline):

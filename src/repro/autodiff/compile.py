@@ -6,22 +6,11 @@ on backward — a full DFS toposort of the graph.  For a fixed model and
 batch shape the graph is identical step after step, so all of that work
 can be done **once**: this module traces a step through the tape's
 capture sink, compiles the trace into a flat instruction program plus an
-exactly-eager-ordered backward program, and replays the programs with
-plain closures over preallocated boxes.
+exactly-eager-ordered backward program, and replays both programs over
+preallocated boxes.  A replay builds no ``Tensor`` and no ``OpNode``.
 
-Three independently benchmarked optimisations ride on the compiled form:
-
-* **elementwise fusion** — chains of single-consumer elementwise ops are
-  collapsed into generated registry entries (``fused:add+mul:1a2b3c4d``)
-  whose backward is composed analytically from the member backwards, in
-  the member order, so gradients are bit-identical to eager execution;
-* **ahead-of-time memory planning** (:mod:`repro.autodiff.memplan`) —
-  ufunc instructions write ``out=`` into buffers pooled from traced
-  liveness intervals and reused across steps;
-* **parallel subgraph dispatch** (:mod:`repro.autodiff.schedule`) —
-  topologically independent wavefronts (TS3Net's per-wavelet CWT
-  branches, the three decomposition heads) execute on a shared thread
-  pool, bit-identical to serial replay.
+The backward program carries the eager walk's dead-gradient masks
+(``node.needs``), so op backwards skip parent gradients no sink keeps.
 
 Correctness is *validated, then assumed*: the first replay of every
 (shape, dtype, mode, trace-signature) key runs the eager step too and
@@ -44,31 +33,20 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import schedule
 from .graph import (
-    OpContext, _backward_hooks, _clock, _forward_hooks, get_op, register_op,
-    registered_ops,
+    _backward_hooks, _clock, _forward_hooks, _retained_nbytes, get_op,
 )
-from .memplan import UFUNC_OPS, BufferPlan
 from .tensor import Tensor, _state, _topo_order, as_array, no_grad, unbroadcast
 
 __all__ = [
     "CompileUnsupported", "CompiledGraph", "CompiledStep", "CompiledForward",
-    "make_compiled_forward", "ELEMENTWISE",
+    "make_compiled_forward",
 ]
 
 
 class CompileUnsupported(RuntimeError):
     """The traced step contains a construct the compiler cannot replay."""
 
-
-# Ops eligible for fusion: shape-preserving/broadcasting pointwise math
-# whose backward reads only ``node.saved`` (true of every registry entry).
-ELEMENTWISE = frozenset({
-    "add", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt", "abs",
-    "tanh", "sin", "cos", "clip", "where", "relu", "leaky_relu", "gelu",
-    "sigmoid",
-})
 
 # Sentinel replacing the process-global RNG in baked kwargs; re-resolved
 # via get_rng() at every replay so set_seed() keeps working and the
@@ -102,27 +80,6 @@ def _emit_event(name: str, attrs: Dict[str, Any]) -> None:
             pass
 
 
-def _flat_retained_nbytes(saved) -> int:
-    """`_retained_nbytes` that also recurses into nested containers, so a
-    fused op's list-of-minis saved state is charged like the member ops'
-    flat tuples would have been."""
-    seen: set = set()
-    total = 0
-    stack = [saved]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, np.ndarray):
-            root = value
-            while isinstance(root.base, np.ndarray):
-                root = root.base
-            if id(root) not in seen:
-                seen.add(id(root))
-                total += root.nbytes
-        elif isinstance(value, (tuple, list)):
-            stack.extend(value)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Capture
 # ---------------------------------------------------------------------------
@@ -153,53 +110,35 @@ _NULL_CTX = _NullCtx()
 class _ReplayNode:
     """Doubles as the forward ctx and backward node of one instruction."""
 
-    __slots__ = ("op", "saved", "saved_bytes", "freed", "parents", "needs",
-                 "mini_needs")
+    __slots__ = ("op", "saved", "saved_bytes", "needs")
 
     def __init__(self, op: str):
         self.op = op
         self.saved: tuple = ()
         self.saved_bytes = 0
-        self.freed = False
-        self.parents: tuple = ()
-        # Static per-parent gradient mask (and, for fused ops, its
-        # member-wise expansion) — compiled DCE: op backwards that honour
-        # ``needs`` skip gradients the sink would throw away.
+        # Static per-parent gradient mask, the one the eager walk sets
+        # before dispatch: op backwards skip gradients the sink discards.
         self.needs: Optional[tuple] = None
-        self.mini_needs: Optional[list] = None
 
     def save(self, *values) -> None:
         self.saved = values
 
 
-class _MiniNode:
-    """Per-member node shim inside a fused op's composed backward."""
+class _Instr:
+    """One captured apply() call; :class:`CompiledGraph` binds it to boxes."""
 
-    __slots__ = ("op", "saved", "needs")
+    __slots__ = ("op", "parent_slots", "kwargs", "rng_keys", "out_slot",
+                 "requires", "fn", "bwd", "ctx", "pboxes", "out_box")
 
-    def __init__(self, op: str, saved: tuple, needs=None):
-        self.op = op
-        self.saved = saved
-        self.needs = needs
-
-
-class _Rec:
-    """One captured apply() call."""
-
-    __slots__ = ("index", "op", "parent_slots", "kwargs", "rng_keys",
-                 "out_slot", "out_arr", "requires", "stateful")
-
-    def __init__(self, index, op, parent_slots, kwargs, rng_keys, out_slot,
-                 out_arr, requires):
-        self.index = index
+    def __init__(self, op, parent_slots, kwargs, rng_keys, out_slot,
+                 requires):
         self.op = op
         self.parent_slots = parent_slots
         self.kwargs = kwargs
         self.rng_keys = rng_keys
         self.out_slot = out_slot
-        self.out_arr = out_arr
         self.requires = requires
-        self.stateful = bool(rng_keys)
+        self.fn = self.bwd = self.ctx = self.pboxes = self.out_box = None
 
 
 class _CaptureTape:
@@ -211,11 +150,11 @@ class _CaptureTape:
     """
 
     def __init__(self) -> None:
-        self.records: List[_Rec] = []
+        self.records: List[_Instr] = []
         self.slot_arrays: List[np.ndarray] = []
         self.slot_of: Dict[int, int] = {}
         self.leaf_slots: Dict[int, Tensor] = {}
-        self.node_to_rec: Dict[int, _Rec] = {}
+        self.node_to_instr: Dict[int, _Instr] = {}
         self._nodes: List[Any] = []  # keep OpNodes alive for id stability
 
     def _slot_for_array(self, arr: np.ndarray) -> int:
@@ -233,12 +172,11 @@ class _CaptureTape:
                 self.leaf_slots[slot] = p
             parent_slots.append(slot)
         baked, rng_keys = self._scrub_kwargs(name, kwargs)
-        out_slot = self._slot_for_array(out.data)
-        rec = _Rec(len(self.records), name, tuple(parent_slots), baked,
-                   rng_keys, out_slot, out.data, node is not None)
-        self.records.append(rec)
+        ins = _Instr(name, tuple(parent_slots), baked, rng_keys,
+                     self._slot_for_array(out.data), node is not None)
+        self.records.append(ins)
         if node is not None:
-            self.node_to_rec[id(node)] = rec
+            self.node_to_instr[id(node)] = ins
             self._nodes.append(node)
 
     def _scrub_kwargs(self, name, kwargs):
@@ -269,297 +207,30 @@ def _capturing(tape: _CaptureTape):
 
 
 # ---------------------------------------------------------------------------
-# Fusion
-# ---------------------------------------------------------------------------
-
-class _FusedSpec:
-    """A generated fused elementwise op.
-
-    ``steps`` is ``[(member OpSpec, template, kwargs), ...]`` where the
-    template maps each member argument either to a fused parent index or
-    to ``None`` meaning "the previous member's output".  Forward runs the
-    member forwards in order, saving each member's ctx tuple; backward
-    runs the member backwards in reverse, threading the interior gradient
-    exactly as the eager staged-buffer walk would (single interior
-    consumer, so the interior grad is the staged value verbatim).
-    """
-
-    def __init__(self, name, steps, parent_shapes, grad_parents):
-        self.name = name
-        self.steps = steps
-        self._parent_shapes = parent_shapes
-        self._grad_parents = grad_parents
-
-    def forward(self, ctx, *parents, **kwargs):
-        if ctx is _NULL_CTX:
-            # Inference replay: nothing is saved for backward, so skip the
-            # per-member context and argument-metadata bookkeeping.
-            prev = None
-            for spec, template, kw in self.steps:
-                args = tuple(prev if t is None else parents[t]
-                             for t in template)
-                prev = _Box(spec.forward(_NULL_CTX, *args, **kw))
-            return prev.data
-        prev = None
-        minis = []
-        for spec, template, kw in self.steps:
-            args = tuple(prev if t is None else parents[t] for t in template)
-            mctx = OpContext()
-            data = spec.forward(mctx, *args, **kw)
-            # Only the interior hand-off (``prev``) needs argument metadata
-            # in backward; external parents are coerced by the outer sink.
-            minis.append((mctx.saved,
-                          None if prev is None
-                          else (prev.data.shape, prev.data.dtype)))
-            prev = _Box(data)
-        ctx.save(minis)
-        return prev.data
-
-    def backward(self, node, grad, sink):
-        (minis,) = node.saved
-        # Member-wise needs masks come precomputed from the compiled graph
-        # (the spec itself is shared across graphs with different grad
-        # patterns, so they cannot be baked in here); eager dispatch of a
-        # fused op (grad checks) computes everything.
-        mini_needs = getattr(node, "mini_needs", None)
-        g = grad
-        for k in range(len(self.steps) - 1, -1, -1):
-            spec, template, _kw = self.steps[k]
-            saved, prev_meta = minis[k]
-            acc: List[np.ndarray] = []
-
-            def msink(j, gj, _template=template, _meta=prev_meta, _acc=acc):
-                t = _template[j]
-                if t is None:
-                    # Interior hand-off: coerce exactly as the eager sink
-                    # would when staging this member's parent gradient
-                    # (no-op fast path when already shaped/typed).
-                    shape, dtype = _meta
-                    if (type(gj) is not np.ndarray or gj.shape != shape
-                            or gj.dtype != dtype):
-                        gj = unbroadcast(np.asarray(gj, dtype=dtype), shape)
-                    _acc.append(gj)
-                else:
-                    # External parent: the outer sink owns the grad-pattern
-                    # check and coercion (graphs sharing this cached spec
-                    # can have different grad patterns at the same slot).
-                    sink(t, gj)
-
-            spec.backward(
-                _MiniNode(spec.name, saved,
-                          None if mini_needs is None else mini_needs[k]),
-                g, msink)
-            if k == 0:
-                break
-            if not acc:
-                return
-            # Two interior contributions (e.g. mul(prev, prev)) accumulate
-            # in sink order, matching the eager staged "first zero-copy,
-            # second buf + g" sequence bit for bit.
-            g = acc[0] if len(acc) == 1 else acc[0] + acc[1]
-
-    def sample(self, rng):
-        tensors = []
-        for i, shape in enumerate(self._parent_shapes):
-            small = tuple(min(d, 2) for d in shape)
-            arr = np.abs(rng.standard_normal(small)) + 0.5
-            tensors.append(Tensor(arr, requires_grad=(i in self._grad_parents)))
-        name = self.name
-
-        def fn(*ts):
-            from .tensor import apply
-            return apply(name, *ts)
-
-        return fn, tensors
-
-
-_FUSED_CACHE: Dict[str, Any] = {}
-_fused_lock = threading.Lock()
-
-
-def _build_fused(recs, chain, requires_slot, slot_arrays):
-    """Create (or reuse) the fused OpSpec for ``chain`` of rec indices.
-
-    Returns ``(spec, parent_slots)`` where ``parent_slots`` lists the
-    fused op's external inputs in first-use order.
-    """
-    parent_index: Dict[int, int] = {}
-    parent_slots: List[int] = []
-    steps_meta = []
-    prev_out = None
-    for ci, ri in enumerate(chain):
-        rec = recs[ri]
-        template = []
-        for pslot in rec.parent_slots:
-            if ci > 0 and pslot == prev_out:
-                template.append(None)
-            else:
-                idx = parent_index.get(pslot)
-                if idx is None:
-                    idx = parent_index[pslot] = len(parent_slots)
-                    parent_slots.append(pslot)
-                template.append(idx)
-        steps_meta.append((rec.op, tuple(template), rec.kwargs))
-        prev_out = rec.out_slot
-    sig = repr([(op, tpl, tuple(sorted((k, repr(v)) for k, v in kw.items())))
-                for op, tpl, kw in steps_meta])
-    with _fused_lock:
-        spec = _FUSED_CACHE.get(sig)
-        if spec is None:
-            digest = hashlib.sha1(sig.encode()).hexdigest()[:8]
-            name = ("fused:" + "+".join(op for op, _, _ in steps_meta)
-                    + ":" + digest)
-            fused = _FusedSpec(
-                name,
-                [(get_op(op), tpl, kw) for op, tpl, kw in steps_meta],
-                [slot_arrays[s].shape for s in parent_slots],
-                frozenset(i for i, s in enumerate(parent_slots)
-                          if requires_slot.get(s, False)))
-            if name not in registered_ops():
-                register_op(name)(fused)
-            spec = _FUSED_CACHE[sig] = get_op(name)
-    return spec, parent_slots
-
-
-def _find_chains(recs, outputs, requires_slot):
-    """Greedy single-consumer elementwise chains, longest-first from each
-    eligible head.  Every guard here is a *bitwise-identity* argument:
-
-    * interior slots have exactly one consuming rec, so their eager grad
-      is the staged value verbatim — composing backwards in member order
-      reproduces it;
-    * extras (non-chain member arguments) must not require grad and must
-      be produced before the chain head, since the fused forward runs at
-      the head's program position;
-    * the chain head's grad-requiring parents must receive at most two
-      gradient contributions graph-wide: fusing moves the head's sink to
-      the tail's backward position, which can swap contribution order,
-      and IEEE addition is commutative (bit-exact) only pairwise.
-    """
-    consumers: Dict[int, List[int]] = {}
-    contributions: Dict[int, int] = {}
-    producer_idx: Dict[int, int] = {}
-    for i, rec in enumerate(recs):
-        producer_idx[rec.out_slot] = i
-        seen_here = set()
-        for pslot in rec.parent_slots:
-            if rec.requires:
-                contributions[pslot] = contributions.get(pslot, 0) + 1
-            if pslot not in seen_here:
-                consumers.setdefault(pslot, []).append(i)
-                seen_here.add(pslot)
-
-    chains = []
-    in_chain: set = set()
-    for i, rec in enumerate(recs):
-        if i in in_chain or rec.op not in ELEMENTWISE or rec.stateful:
-            continue
-        chain = [i]
-        cur = rec
-        while True:
-            out = cur.out_slot
-            cons = consumers.get(out, [])
-            if out in outputs or len(cons) != 1:
-                break
-            j = cons[0]
-            nxt = recs[j]
-            if (j in in_chain or nxt.op not in ELEMENTWISE or nxt.stateful
-                    or nxt.requires != rec.requires
-                    or nxt.parent_slots.count(out) > 2):
-                break
-            ok = True
-            for pslot in nxt.parent_slots:
-                if pslot == out:
-                    continue
-                if requires_slot.get(pslot, False):
-                    ok = False
-                    break
-                prod = producer_idx.get(pslot)
-                if prod is not None and prod >= chain[0]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            chain.append(j)
-            cur = nxt
-        if len(chain) < 2:
-            continue
-        if rec.requires and any(
-                contributions.get(p, 0) > 2
-                for p in set(rec.parent_slots)
-                if requires_slot.get(p, False)):
-            continue
-        chains.append(chain)
-        in_chain.update(chain)
-    return chains
-
-
-# ---------------------------------------------------------------------------
 # Compiled graph
 # ---------------------------------------------------------------------------
-
-class _Instr:
-    """One replayable instruction of the compiled forward program."""
-
-    __slots__ = ("index", "op", "fn", "bwd", "ctx", "pboxes", "kwargs",
-                 "rng_keys", "out_box", "out_slot", "parent_slots",
-                 "out_arr", "stateful", "requires", "level")
-
-    def __init__(self, index, op, fn, bwd, ctx, pboxes, kwargs, rng_keys,
-                 out_box, out_slot, parent_slots, out_arr, stateful,
-                 requires):
-        self.index = index
-        self.op = op
-        self.fn = fn
-        self.bwd = bwd
-        self.ctx = ctx
-        self.pboxes = pboxes
-        self.kwargs = kwargs
-        self.rng_keys = rng_keys
-        self.out_box = out_box
-        self.out_slot = out_slot
-        self.parent_slots = parent_slots
-        self.out_arr = out_arr
-        self.stateful = stateful
-        self.requires = requires
-        self.level = 0
-
 
 class CompiledGraph:
     """A captured step compiled to forward/backward instruction programs.
 
-    The graph replays **interpretively** until :meth:`finalize` is called
-    (after bitwise validation against the eager step); finalization swaps
-    in specialised per-instruction closures, enables the buffer pool, and
-    arms parallel wave dispatch.
+    Both programs replay through one interpretive loop each, before and
+    after validation and with or without profiler hooks.
     """
 
     def __init__(self, tape: _CaptureTape, batch_arrays: Sequence[np.ndarray],
-                 out_tensor: Tensor, mode: str, workers: int = 1):
+                 out_tensor: Tensor, mode: str):
         if not tape.records:
             raise CompileUnsupported("no ops captured")
         self.mode = mode
-        self.workers = max(1, int(workers))
-        self._capture_default = _state.default_dtype
-        self._slot_arrays = tape.slot_arrays
 
         out_slot = tape.slot_of.get(id(out_tensor.data))
         if out_slot is None:
             raise CompileUnsupported(
                 "the step output is not produced by a captured op")
         self._out_slot = out_slot
-        outputs = frozenset({out_slot})
-
-        recs = tape.records
-        requires_slot: Dict[int, bool] = {}
-        for slot, leaf in tape.leaf_slots.items():
-            requires_slot[slot] = leaf.requires_grad
-        for rec in recs:
-            requires_slot[rec.out_slot] = rec.requires
 
         # --- leaf binding -------------------------------------------------
         boxes = [_Box() for _ in tape.slot_arrays]
-        self._boxes = boxes
         self._out_box = boxes[out_slot]
         self._param_binds: List[Tuple[_Box, Tensor]] = []
         self._batch_binds: List[Tuple[_Box, int]] = []
@@ -577,104 +248,35 @@ class CompiledGraph:
             else:
                 box.data = leaf.data  # baked constant (e.g. a PE table)
 
-        # --- fusion -------------------------------------------------------
-        chains = _find_chains(recs, outputs, requires_slot)
-        head_of = {chain[0]: chain for chain in chains}
-        member = {}
-        for chain in chains:
-            for ri in chain:
-                member[ri] = chain
-        self._fused_count = len(chains)
-        self._ops_fused_away = sum(len(c) - 1 for c in chains)
-
         # --- instruction program -----------------------------------------
-        prog: List[_Instr] = []
-        rec_instr: Dict[int, _Instr] = {}
-        for i, rec in enumerate(recs):
-            if i in member and i not in head_of:
-                continue
-            chain = head_of.get(i)
-            if chain is not None:
-                spec, pslots = _build_fused(
-                    recs, chain, requires_slot, tape.slot_arrays)
-                tail = recs[chain[-1]]
-                ctx = _ReplayNode(spec.name) if tail.requires else _NULL_CTX
-                ins = _Instr(
-                    len(prog), spec.name, spec.forward,
-                    spec.backward if tail.requires else None, ctx,
-                    tuple(boxes[s] for s in pslots), {}, (),
-                    boxes[tail.out_slot], tail.out_slot, tuple(pslots),
-                    tail.out_arr, False, tail.requires)
-                rec_instr[chain[-1]] = ins
+        for ins in tape.records:
+            spec = get_op(ins.op)
+            ins.fn = spec.forward
+            ins.pboxes = tuple(boxes[s] for s in ins.parent_slots)
+            ins.out_box = boxes[ins.out_slot]
+            if ins.requires:
+                ins.bwd = spec.backward
+                ins.ctx = _ReplayNode(ins.op)
             else:
-                spec = get_op(rec.op)
-                ctx = _ReplayNode(rec.op) if rec.requires else _NULL_CTX
-                ins = _Instr(
-                    len(prog), rec.op, spec.forward,
-                    spec.backward if rec.requires else None, ctx,
-                    tuple(boxes[s] for s in rec.parent_slots), rec.kwargs,
-                    rec.rng_keys, boxes[rec.out_slot], rec.out_slot,
-                    rec.parent_slots, rec.out_arr, rec.stateful,
-                    rec.requires)
-                rec_instr[i] = ins
-            prog.append(ins)
-        self.stateful = any(ins.stateful for ins in prog)
-
-        # --- constant folding --------------------------------------------
-        # Instructions whose transitive inputs are baked constants (fixed
-        # tables, decomposition kernels — not parameters, batch inputs, or
-        # RNG draws) produce the same bits every replay: bake the captured
-        # output and drop them from the program.  Gradient-carrying ops
-        # depend on parameters, so the backward program never sees these.
-        varying = {id(box) for box, _ in self._param_binds}
-        varying.update(id(box) for box, _ in self._batch_binds)
-        self.folded_instructions = 0
-        self.folded_bytes = 0
-        kept: List[_Instr] = []
-        for ins in prog:
-            if (ins.requires or ins.stateful or ins.rng_keys
-                    or ins.out_slot == out_slot
-                    or any(id(pb) in varying for pb in ins.pboxes)):
-                varying.add(id(ins.out_box))
-                kept.append(ins)
-                continue
-            ins.out_box.data = ins.out_arr
-            self.folded_instructions += 1
-            self.folded_bytes += ins.out_arr.nbytes
-        for i, ins in enumerate(kept):
-            ins.index = i
-        prog = kept
-        self._prog = prog
-
-        # --- levels, waves, memory plan ----------------------------------
-        for ins, level in zip(prog, schedule.compute_levels(prog)):
-            ins.level = level
-        self._waves: Optional[List[List[int]]] = None
-        self._wave_parallel: Optional[List[bool]] = None
-        if self.workers > 1 and not self.stateful:
-            waves = schedule.plan_waves(prog)
-            self._waves = waves
-            self._wave_parallel = [
-                schedule.wave_is_parallel(prog, w) for w in waves]
-        self._plan = BufferPlan()
-        self._plan.plan(prog, outputs, share=(mode == "infer"))
-        self._runners: Optional[List[Callable[[], None]]] = None
+                ins.ctx = _NULL_CTX
+        self._prog = tape.records
+        self.stateful = any(ins.rng_keys for ins in self._prog)
 
         # --- backward program --------------------------------------------
         self._bwd: List[tuple] = []
-        self._bwd_meta: List[tuple] = []
-        self._bwd_run: Optional[List[tuple]] = None
         self._grads: Dict[int, np.ndarray] = {}
         self._owned: set = set()
         if mode == "train":
-            self._build_backward(tape, out_tensor, member, rec_instr,
-                                 requires_slot)
+            self._build_backward(tape, out_tensor)
 
     # ------------------------------------------------------------------
-    def _build_backward(self, tape, out_tensor, member, rec_instr,
-                        requires_slot):
+    def _build_backward(self, tape, out_tensor) -> None:
         grads, owned = self._grads, self._owned
         slot_arrays = tape.slot_arrays
+        requires_slot = {slot: leaf.requires_grad
+                         for slot, leaf in tape.leaf_slots.items()}
+        requires_slot.update((ins.out_slot, ins.requires)
+                             for ins in tape.records)
 
         def make_sink(pinfo):
             def sink(index: int, g: np.ndarray) -> None:
@@ -701,401 +303,115 @@ class CompiledGraph:
                     owned.add(slot)
             return sink
 
-        def parent_info(pslots):
-            info = []
-            for pslot in pslots:
-                if not requires_slot.get(pslot, False):
-                    info.append(None)
-                    continue
-                arr = slot_arrays[pslot]
-                leaf = tape.leaf_slots.get(pslot)
-                info.append((pslot, arr.shape, arr.dtype, leaf))
-            return tuple(info)
-
-        order = _topo_order(out_tensor)
-        steps: List[tuple] = []
-        meta: List[tuple] = []
-        for t in reversed(order):
+        for t in reversed(_topo_order(out_tensor)):
             node = t._node
             if node is None:
                 continue
-            rec = tape.node_to_rec.get(id(node))
-            if rec is None:
+            ins = tape.node_to_instr.get(id(node))
+            if ins is None:
                 raise CompileUnsupported(
                     f"graph references op {node.op!r} recorded outside "
                     "the captured step")
-            chain = member.get(rec.index)
-            if chain is not None:
-                if rec.index != chain[-1]:
-                    continue  # handled by the tail's fused step
-            ins = rec_instr[rec.index]
-            pinfo = parent_info(ins.parent_slots)
-            # Static DCE masks: which parent gradients this step actually
-            # feeds anywhere (fused ops additionally get the member-wise
-            # expansion — interior hand-offs are always live).
-            ctx = ins.ctx
-            ctx.needs = tuple(info is not None for info in pinfo)
-            fused_steps = getattr(get_op(ins.op), "steps", None)
-            if fused_steps is not None:
-                ctx.mini_needs = [
-                    tuple(True if t_ is None else ctx.needs[t_]
-                          for t_ in template)
-                    for _spec, template, _kw in fused_steps]
-            steps.append((ins.bwd, ctx, ins.out_slot, make_sink(pinfo)))
-            meta.append((ins, pinfo))
-        self._bwd = steps
-        self._bwd_meta = meta
+            pinfo = tuple(
+                (pslot, slot_arrays[pslot].shape, slot_arrays[pslot].dtype,
+                 tape.leaf_slots.get(pslot))
+                if requires_slot.get(pslot, False) else None
+                for pslot in ins.parent_slots)
+            ins.ctx.needs = tuple(info is not None for info in pinfo)
+            self._bwd.append((ins.bwd, ins.ctx, ins.out_slot,
+                              make_sink(pinfo)))
 
     # ------------------------------------------------------------------
-    # Forward replay
+    # Replay
     # ------------------------------------------------------------------
-    def _bind(self, batch_arrays: Optional[Sequence[np.ndarray]]) -> None:
+    def run_forward(self, batch_arrays: Optional[Sequence[np.ndarray]] = None
+                    ) -> np.ndarray:
         for box, leaf in self._param_binds:
             box.data = leaf.data
         if batch_arrays is not None:
             for box, bi in self._batch_binds:
                 box.data = batch_arrays[bi]
-
-    def _exec_instr(self, ins: _Instr) -> None:
-        kw = ins.kwargs
-        if ins.rng_keys:
-            kw = dict(kw)
-            live = _rng()
-            for key in ins.rng_keys:
-                kw[key] = live
-        ins.out_box.data = ins.fn(ins.ctx, *ins.pboxes, **kw)
-
-    def run_forward(self, batch_arrays: Optional[Sequence[np.ndarray]] = None
-                    ) -> np.ndarray:
-        self._bind(batch_arrays)
-        if _forward_hooks:
-            self._run_forward_profiled()
-        elif self._runners is None:
-            for ins in self._prog:
-                self._exec_instr(ins)
-        elif self._waves is not None:
-            schedule.run_waves(self._runners, self._waves,
-                               self._wave_parallel, self.workers,
-                               self._thread_init)
-        else:
-            for run in self._runners:
-                run()
-        return self._out_box.data
-
-    def _run_forward_profiled(self) -> None:
-        # Interpretive, serial, unpooled: per-op hook telemetry with honest
-        # saved-bytes accounting (the GraphProfiler watermark contract).
         for ins in self._prog:
+            kw = ins.kwargs
+            if ins.rng_keys:
+                kw = dict(kw)
+                live = _rng()
+                for key in ins.rng_keys:
+                    kw[key] = live
+            if not _forward_hooks:
+                ins.out_box.data = ins.fn(ins.ctx, *ins.pboxes, **kw)
+                continue
+            # Per-op hook telemetry, charged like eager apply() charges it.
             t0 = _clock()
-            self._exec_instr(ins)
+            ins.out_box.data = ins.fn(ins.ctx, *ins.pboxes, **kw)
             elapsed = _clock() - t0
             nbytes = 0
             if ins.requires:
-                node = ins.ctx
-                node.saved_bytes = nbytes = _flat_retained_nbytes(node.saved)
-                node.freed = False
+                ins.ctx.saved_bytes = nbytes = _retained_nbytes(ins.ctx.saved)
             for hook in tuple(_forward_hooks.values()):
                 hook(ins.op, elapsed, nbytes)
+        return self._out_box.data
 
-    def _thread_init(self) -> None:
-        _state.default_dtype = self._capture_default
-        _state.grad_enabled = False
-
-    # ------------------------------------------------------------------
-    # Backward replay (train graphs)
-    # ------------------------------------------------------------------
     def run_backward(self) -> None:
-        run = self._bwd_run
-        if run is None or _backward_hooks:
-            self._run_backward_interp()
-            return
-        # Finalised program: gradients flow through a flat cell array with
-        # precomputed per-parent sink entries — no dict hashing, and every
-        # produced cell is consumed exactly once, so the array self-clears.
-        cells = self._cells
-        owned = self._owned_flags
-        for ci in self._multi_cells:
-            owned[ci] = 0
-        cells[self._out_cell] = np.ones_like(self._out_box.data)
-        for step in run:
-            step()
-
-    def _run_backward_interp(self) -> None:
         grads, owned = self._grads, self._owned
         grads.clear()
         owned.clear()
         grads[self._out_slot] = np.ones_like(self._out_box.data)
-        if _backward_hooks:
-            for bwd, node, out_slot, sink in self._bwd:
-                g = grads.pop(out_slot, None)
-                owned.discard(out_slot)
-                if g is None:
-                    continue
+        for bwd, node, out_slot, sink in self._bwd:
+            g = grads.pop(out_slot, None)
+            owned.discard(out_slot)
+            if g is None:
+                continue
+            if _backward_hooks:
                 t0 = _clock()
                 bwd(node, g, sink)
                 elapsed = _clock() - t0
-                freed = node.saved_bytes
-                node.saved = ()
-                node.saved_bytes = 0
                 for hook in tuple(_backward_hooks.values()):
-                    hook(node.op, elapsed, freed)
-        else:
-            for bwd, node, out_slot, sink in self._bwd:
-                g = grads.pop(out_slot, None)
-                owned.discard(out_slot)
-                if g is None:
-                    continue
+                    hook(node.op, elapsed, node.saved_bytes)
+            else:
                 bwd(node, g, sink)
-                node.saved = ()
-                node.saved_bytes = 0
+            node.saved = ()
+            node.saved_bytes = 0
         grads.clear()
         owned.clear()
-
-    # ------------------------------------------------------------------
-    # Finalisation: specialised runners + buffer pool
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        if self._runners is not None:
-            return
-        self._runners = [self._make_runner(ins) for ins in self._prog]
-        if self._bwd_meta:
-            self._finalize_backward()
-
-    def _finalize_backward(self) -> None:
-        """Compile the backward walk: flat grad cells + prebuilt sinks.
-
-        The trace fixes which (step, parent) pairs contribute to every
-        gradient and in what order, so the dict-based copy-on-write
-        accumulator of the interpretive walk reduces to indexed cells with
-        an ownership flag that only multi-contributor cells ever touch.
-        """
-        cell_of: Dict[int, int] = {}
-        cells: List[Optional[np.ndarray]] = []
-        counts: List[int] = []
-
-        def cell(slot: int) -> int:
-            ci = cell_of.get(slot)
-            if ci is None:
-                ci = cell_of[slot] = len(cells)
-                cells.append(None)
-                counts.append(0)
-            return ci
-
-        out_cell = cell(self._out_slot)
-        per_step_entries = []
-        for ins, pinfo in self._bwd_meta:
-            entries = []
-            for info in pinfo:
-                if info is None:
-                    entries.append(None)
-                    continue
-                slot, shape, dtype, param = info
-                if param is not None:
-                    entries.append((shape, dtype, param, -1))
-                else:
-                    ci = cell(slot)
-                    counts[ci] += 1
-                    entries.append((shape, dtype, None, ci))
-            per_step_entries.append(tuple(entries))
-        owned = bytearray(len(cells))
-
-        def make_cell_sink(entries):
-            def sink(index: int, g: np.ndarray) -> None:
-                e = entries[index]
-                if e is None:
-                    return
-                shape, dtype, param, ci = e
-                if (type(g) is not np.ndarray or g.shape != shape
-                        or g.dtype != dtype):
-                    g = unbroadcast(np.asarray(g, dtype=dtype), shape)
-                if param is not None:
-                    param._accumulate(g)
-                    return
-                cur = cells[ci]
-                if cur is None:
-                    cells[ci] = g
-                elif owned[ci]:
-                    np.add(cur, g, out=cur)
-                else:
-                    # First accumulation copies: the stored gradient may be
-                    # an array the producing op also handed elsewhere.
-                    cells[ci] = cur + g
-                    owned[ci] = 1
-            return sink
-
-        def make_step(bwd, node, ci, sink):
-            def step() -> None:
-                g = cells[ci]
-                if g is None:
-                    return
-                cells[ci] = None
-                bwd(node, g, sink)
-                node.saved = ()
-                node.saved_bytes = 0
-            return step
-
-        run = []
-        for (ins, pinfo), entries in zip(self._bwd_meta, per_step_entries):
-            run.append(make_step(ins.bwd, ins.ctx, cell(ins.out_slot),
-                                 make_cell_sink(entries)))
-        self._cells = cells
-        self._owned_flags = owned
-        self._multi_cells = [ci for ci, n in enumerate(counts) if n > 1]
-        self._out_cell = out_cell
-        self._bwd_run = run
-
-    def _make_runner(self, ins: _Instr) -> Callable[[], None]:
-        fn, ctx, out_box, kwargs, pb = (
-            ins.fn, ins.ctx, ins.out_box, ins.kwargs, ins.pboxes)
-        if ins.rng_keys:
-            rng_keys = ins.rng_keys
-
-            def run_rng():
-                kw = dict(kwargs)
-                live = _rng()
-                for key in rng_keys:
-                    kw[key] = live
-                out_box.data = fn(ctx, *pb, **kw)
-
-            return run_rng
-        buf = self._plan.buffer_for(ins.index)
-        if buf is not None:
-            ufunc, arity, save_mode = UFUNC_OPS[ins.op]
-            if arity == 2:
-                b0, b1 = pb
-                if save_mode == "ab":
-
-                    def run():
-                        a = b0.data
-                        b = b1.data
-                        ufunc(a, b, out=buf)
-                        out_box.data = buf
-                        ctx.save(a, b)
-                else:
-
-                    def run():
-                        ufunc(b0.data, b1.data, out=buf)
-                        out_box.data = buf
-            else:
-                (b0,) = pb
-                if save_mode == "pow":
-                    exponent = kwargs["exponent"]
-
-                    def run():
-                        a = b0.data
-                        ufunc(a, exponent, out=buf)
-                        out_box.data = buf
-                        ctx.save(a, exponent)
-                elif save_mode == "out":
-
-                    def run():
-                        ufunc(b0.data, out=buf)
-                        out_box.data = buf
-                        ctx.save(buf)
-                elif save_mode == "src":
-
-                    def run():
-                        a = b0.data
-                        ufunc(a, out=buf)
-                        out_box.data = buf
-                        ctx.save(a)
-                else:
-
-                    def run():
-                        ufunc(b0.data, out=buf)
-                        out_box.data = buf
-            return run
-        n = len(pb)
-        if not kwargs:
-            if n == 1:
-                (b0,) = pb
-                return lambda: out_box.__setattr__(
-                    "data", fn(ctx, b0))
-            if n == 2:
-                b0, b1 = pb
-                return lambda: out_box.__setattr__(
-                    "data", fn(ctx, b0, b1))
-            return lambda: out_box.__setattr__("data", fn(ctx, *pb))
-        if n == 1:
-            (b0,) = pb
-            return lambda: out_box.__setattr__(
-                "data", fn(ctx, b0, **kwargs))
-        if n == 2:
-            b0, b1 = pb
-            return lambda: out_box.__setattr__(
-                "data", fn(ctx, b0, b1, **kwargs))
-        return lambda: out_box.__setattr__("data", fn(ctx, *pb, **kwargs))
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         return {
             "mode": self.mode,
             "instructions": len(self._prog),
-            "fused_ops": self._fused_count,
-            "ops_fused_away": self._ops_fused_away,
-            "folded_instructions": self.folded_instructions,
-            "folded_bytes": self.folded_bytes,
-            "pooled_instructions": self._plan.pooled_instructions,
-            "pool_buffers": self._plan.pool_buffers,
-            "pool_bytes": self._plan.pool_bytes,
-            "levels": max((ins.level for ins in self._prog), default=0),
-            "parallel_waves": (sum(self._wave_parallel)
-                               if self._wave_parallel else 0),
             "stateful": self.stateful,
-            "workers": self.workers,
         }
 
 
 # ---------------------------------------------------------------------------
-# Compiled training step
+# Per-model graph cache (shared by the train and serve wrappers)
 # ---------------------------------------------------------------------------
 
-class CompiledStep:
-    """Capture/validate/replay wrapper around a training ``step_fn``.
+class _GraphCache:
+    """Trace-key -> graph LRU, signature cache, counters, eager fallback."""
 
-    ``step_fn(batch) -> (loss, ...)`` is the trainer's step closure.  The
-    first step for each trace key runs eagerly *while capturing*; the
-    second validates the compiled replay bitwise against a redundant eager
-    step (loss, every parameter gradient, and the RNG stream position);
-    replays from the third step on run the finalised program.  Any
-    unsupported construct or validation mismatch permanently disables the
-    instance — every subsequent step runs plain eager code.
-    """
+    mode = ""
 
-    def __init__(self, model, step_fn: Callable, workers: int = 1,
-                 max_graphs: int = 8, tag: str = ""):
+    def __init__(self, model, max_graphs: int):
         if not hasattr(model, "trace_signature"):
             raise CompileUnsupported(
                 f"{type(model).__name__} does not expose trace_signature(); "
                 "compiled mode needs it to key data-dependent control flow")
         self.model = model
-        self.step_fn = step_fn
-        self.workers = workers
         self.max_graphs = max_graphs
-        # Trace-key namespace (the task name when fitting through the task
-        # registry): two tasks may train the same model with different
-        # step_fns over identically-shaped batches, and their captures
-        # must never collide.
-        self.tag = tag
         self._graphs: "OrderedDict[tuple, list]" = OrderedDict()
         # Content-hash -> trace signature.  trace_signature() replays the
         # normalisation + trend decomposition eagerly, which costs real
         # milliseconds; recurring batch contents (fixed loaders, epoch
-        # revisits, steady-state benches) hit this cache instead.
+        # revisits, steady-state benches, repeated windows) hit this
+        # cache instead.
         self._sig_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._params: Optional[tuple] = None
         self.disabled = False
         self.disabled_reason: Optional[str] = None
         self.captures = 0
         self.validations = 0
         self.replays = 0
-
-    # -- eager fallback ------------------------------------------------
-    def _eager(self, batch) -> float:
-        self.model.zero_grad()
-        loss = self.step_fn(batch)[0]
-        loss.backward()
-        return float(loss.data)
 
     def _disable(self, reason: str) -> None:
         self.disabled = True
@@ -1103,12 +419,10 @@ class CompiledStep:
         self._graphs.clear()
         _emit_event("compile.fallback", {
             "reason": reason, "model": type(self.model).__name__,
-            "mode": "train"})
+            "mode": self.mode})
 
-    # -- keying --------------------------------------------------------
     def _signature(self, x: np.ndarray) -> tuple:
-        digest = (x.shape, x.dtype.str,
-                  hashlib.sha1(x.tobytes()).digest())
+        digest = (x.shape, x.dtype.str, hashlib.sha1(x.tobytes()).digest())
         sig = self._sig_cache.get(digest)
         if sig is None:
             sig = tuple(self.model.trace_signature(x))
@@ -1119,6 +433,68 @@ class CompiledStep:
             self._sig_cache.move_to_end(digest)
         return sig
 
+    def _remember(self, key: tuple, graph: CompiledGraph) -> None:
+        self.captures += 1
+        self._graphs[key] = [graph, False]
+        while len(self._graphs) > self.max_graphs:
+            self._graphs.popitem(last=False)
+        _emit_event("compile.capture",
+                    dict(graph.stats(), model=type(self.model).__name__))
+
+    def _validated(self, entry: list) -> None:
+        entry[1] = True
+        self.validations += 1
+        _emit_event("compile.validated",
+                    dict(entry[0].stats(), model=type(self.model).__name__))
+
+    def stats(self) -> Dict[str, Any]:
+        return {
+            "graphs": len(self._graphs),
+            "captures": self.captures,
+            "validations": self.validations,
+            "replays": self.replays,
+            "disabled": self.disabled,
+            "disabled_reason": self.disabled_reason,
+        }
+
+
+# ---------------------------------------------------------------------------
+# Compiled training step
+# ---------------------------------------------------------------------------
+
+class CompiledStep(_GraphCache):
+    """Capture/validate/replay wrapper around a training ``step_fn``.
+
+    ``step_fn(batch) -> (loss, ...)`` is the trainer's step closure.  The
+    first step for each trace key runs eagerly *while capturing*; the
+    second validates the compiled replay bitwise against a redundant eager
+    step (loss, every parameter gradient, and the RNG stream position);
+    replays from the third step on.  Any unsupported construct or
+    validation mismatch permanently disables the instance — every
+    subsequent step runs plain eager code.
+    """
+
+    mode = "train"
+
+    def __init__(self, model, step_fn: Callable, max_graphs: int = 8,
+                 tag: str = ""):
+        super().__init__(model, max_graphs)
+        self.step_fn = step_fn
+        # Trace-key namespace (the task name when fitting through the task
+        # registry): two tasks may train the same model with different
+        # step_fns over identically-shaped batches, and their captures
+        # must never collide.
+        self.tag = tag
+        self._params: Optional[tuple] = None
+
+    # -- eager fallback ------------------------------------------------
+    def _eager(self, batch) -> float:
+        self.model.zero_grad()
+        loss = self.step_fn(batch)[0]
+        loss.backward()
+        return float(loss.data)
+
+    # -- keying --------------------------------------------------------
     def _key(self, arrays) -> tuple:
         return (
             self.tag,
@@ -1157,7 +533,7 @@ class CompiledStep:
         self._graphs.move_to_end(key)
         graph, validated = entry
         if not validated:
-            return self._validate(key, entry, arrays, payload)
+            return self._validate(entry, arrays, payload)
         # AOT-resolved zero_grad: ``Module.zero_grad`` re-walks the module
         # tree every call; the parameter set is fixed for a live trace.
         params = self._params
@@ -1172,9 +548,8 @@ class CompiledStep:
 
     # -- capture -------------------------------------------------------
     def _capture(self, key, arrays, payload) -> float:
-        model = self.model
         state0 = _rng_state()
-        model.zero_grad()
+        self.model.zero_grad()
         tape = _CaptureTape()
         try:
             with _capturing(tape):
@@ -1191,8 +566,7 @@ class CompiledStep:
                 raise CompileUnsupported("step loss is not a grad tensor")
             if loss.data.size != 1:
                 raise CompileUnsupported("step loss is not a scalar")
-            graph = CompiledGraph(tape, arrays, loss, mode="train",
-                                  workers=self.workers)
+            graph = CompiledGraph(tape, arrays, loss, mode="train")
             missing = [bi for bi, arr in enumerate(arrays)
                        if isinstance(arr, np.ndarray)
                        and bi not in graph.bound_batch]
@@ -1206,16 +580,11 @@ class CompiledStep:
             self._disable(str(exc))
             return float(loss.data)
         loss.backward()
-        self.captures += 1
-        self._graphs[key] = [graph, False]
-        while len(self._graphs) > self.max_graphs:
-            self._graphs.popitem(last=False)
-        _emit_event("compile.capture",
-                    dict(graph.stats(), model=type(model).__name__))
+        self._remember(key, graph)
         return float(loss.data)
 
     # -- bitwise validation against a redundant eager step -------------
-    def _validate(self, key, entry, arrays, payload) -> float:
+    def _validate(self, entry, arrays, payload) -> float:
         model = self.model
         graph = entry[0]
         params = list(model.parameters())
@@ -1255,68 +624,33 @@ class CompiledStep:
             self._disable("compiled replay did not reproduce the eager "
                           "step bitwise")
             return eager_loss
-        graph.finalize()
-        entry[1] = True
-        self.validations += 1
-        _emit_event("compile.validated",
-                    dict(graph.stats(), model=type(model).__name__))
+        self._validated(entry)
         return eager_loss
-
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "graphs": len(self._graphs),
-            "captures": self.captures,
-            "validations": self.validations,
-            "replays": self.replays,
-            "disabled": self.disabled,
-            "disabled_reason": self.disabled_reason,
-        }
 
 
 # ---------------------------------------------------------------------------
 # Compiled inference forward (serving)
 # ---------------------------------------------------------------------------
 
-class CompiledForward:
+class CompiledForward(_GraphCache):
     """Compiled ``no_grad`` forward for serving, keyed per input shape.
 
-    Thread-safe (one replay at a time per instance — boxes and pooled
-    buffers are not reentrant).  Serving hot-reload invalidation is
+    Thread-safe (one replay at a time per instance — boxes and replay
+    contexts are not reentrant).  Serving hot-reload invalidation is
     structural: the registry builds a *new* ``CompiledForward`` per model
     entry, so swapping the entry atomically retires every compiled graph
     of the old weights.
     """
 
-    def __init__(self, model, workers: int = 1, max_graphs: int = 8):
-        if not hasattr(model, "trace_signature"):
-            raise CompileUnsupported(
-                f"{type(model).__name__} does not expose trace_signature()")
-        self.model = model
-        self.workers = workers
-        self.max_graphs = max_graphs
-        self._graphs: "OrderedDict[tuple, list]" = OrderedDict()
-        # Content-hash -> trace signature (same rationale as CompiledStep:
-        # trace_signature() runs the eager normalisation/decomposition
-        # prefix, which would otherwise dominate small-batch replays).
-        self._sig_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+    mode = "infer"
+
+    def __init__(self, model, max_graphs: int = 8):
+        super().__init__(model, max_graphs)
         self._lock = threading.Lock()
-        self.disabled = False
-        self.disabled_reason: Optional[str] = None
-        self.captures = 0
-        self.replays = 0
 
     def _eager(self, arr: np.ndarray) -> np.ndarray:
         with no_grad():
             return self.model(Tensor(arr)).data
-
-    def _disable(self, reason: str) -> None:
-        self.disabled = True
-        self.disabled_reason = reason
-        self._graphs.clear()
-        _emit_event("compile.fallback", {
-            "reason": reason, "model": type(self.model).__name__,
-            "mode": "infer"})
 
     def forward(self, arr: np.ndarray) -> np.ndarray:
         # Mirror Tensor()'s coercion up front so the traced input leaf
@@ -1328,19 +662,6 @@ class CompiledForward:
             return self._forward_locked(arr)
 
     __call__ = forward
-
-    def _signature(self, arr: np.ndarray) -> tuple:
-        digest = (arr.shape, arr.dtype.str,
-                  hashlib.sha1(arr.tobytes()).digest())
-        sig = self._sig_cache.get(digest)
-        if sig is None:
-            sig = tuple(self.model.trace_signature(arr))
-            self._sig_cache[digest] = sig
-            while len(self._sig_cache) > 64:
-                self._sig_cache.popitem(last=False)
-        else:
-            self._sig_cache.move_to_end(digest)
-        return sig
 
     def _forward_locked(self, arr: np.ndarray) -> np.ndarray:
         try:
@@ -1369,8 +690,7 @@ class CompiledForward:
                 self._disable("compiled forward did not reproduce the "
                               "eager forward bitwise")
                 return ref
-            graph.finalize()
-            entry[1] = True
+            self._validated(entry)
             return ref
         self.replays += 1
         return graph.run_forward((arr,))
@@ -1380,8 +700,7 @@ class CompiledForward:
         try:
             with no_grad(), _capturing(tape):
                 out = self.model(Tensor(arr))
-            graph = CompiledGraph(tape, (arr,), out, mode="infer",
-                                  workers=self.workers)
+            graph = CompiledGraph(tape, (arr,), out, mode="infer")
             if graph.stateful:
                 raise CompileUnsupported(
                     "inference graph consumes RNG state")
@@ -1391,27 +710,13 @@ class CompiledForward:
         except CompileUnsupported as exc:
             self._disable(str(exc))
             return self._eager(arr)
-        self.captures += 1
-        self._graphs[key] = [graph, False]
-        while len(self._graphs) > self.max_graphs:
-            self._graphs.popitem(last=False)
-        _emit_event("compile.capture",
-                    dict(graph.stats(), model=type(self.model).__name__))
+        self._remember(key, graph)
         return out.data
 
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "graphs": len(self._graphs),
-            "captures": self.captures,
-            "replays": self.replays,
-            "disabled": self.disabled,
-            "disabled_reason": self.disabled_reason,
-        }
 
-
-def make_compiled_forward(model, workers: int = 1) -> Optional[CompiledForward]:
+def make_compiled_forward(model) -> Optional[CompiledForward]:
     """Best-effort :class:`CompiledForward` factory (None if unsupported)."""
     try:
-        return CompiledForward(model, workers=workers)
+        return CompiledForward(model)
     except CompileUnsupported:
         return None

@@ -83,8 +83,7 @@ def cmd_train(args) -> int:
           f"{model.num_parameters():,} parameters")
 
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, verbose=True,
-                      profile=args.profile, compiled=args.compiled,
-                      compile_workers=args.compile_workers)
+                      profile=args.profile, compiled=args.compiled)
     result = run_task(spec, model, data, config, cfg)
     print(f"{spec.format_result(result)} "
           f"({result.epochs_run} epochs, {result.seconds:.0f}s)")
@@ -326,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="capture/replay compiled training steps "
                             "(bitwise-validated, eager fallback on any "
                             "unsupported construct or shape change)")
-    train.add_argument("--compile-workers", type=int, default=1,
-                       help="thread-pool width for parallel subgraph "
-                            "dispatch in compiled mode (1 = serial)")
     train.add_argument("--profile", action="store_true",
                        help="record per-op/per-module telemetry during the "
                             "fit and print the parameter + profile tables")

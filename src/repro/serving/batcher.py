@@ -253,8 +253,8 @@ class MicroBatcher:
                         # itself bitwise against eager on first use and
                         # falls back eagerly forever on any mismatch, so
                         # the single_forward repr-identity contract holds.
-                        # The per-row np.array() copies below detach the
-                        # results from the replay's reused output buffer.
+                        # The per-row np.array() copies below give every
+                        # waiter its own array, not a view of the batch.
                         out = entry.compiled.forward(stacked)
                     else:
                         out = entry.model(Tensor(stacked)).data

@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 from ...obs import console as _console
 from ...obs import context as _obs_context
 from ...obs import runtime as _obs
-from ..server import ServingConfig
+from ..server import RequestError, ServingConfig, request_content_length
 from .config import ClusterConfig
 from .metrics import ClusterMetrics, merge_expositions
 from .routing import HashRing, NoWorkerAvailable, Router
@@ -139,7 +139,11 @@ class ClusterHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": {"type": "not_found",
                                             "detail": self.path}})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = request_content_length(self)
+        except RequestError as err:
+            self._send_json(err.status, err.body())
+            return
         if length > srv.config.serving.max_body_bytes:
             self._send_json(413, {"error": {
                 "type": "payload_too_large",

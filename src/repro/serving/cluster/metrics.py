@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...obs.metrics import MetricsRegistry
+from ...obs.metrics import MetricsRegistry, format_labels
 
 
 class ExpositionError(ValueError):
@@ -187,17 +187,13 @@ def merge_expositions(texts: Sequence[str]) -> str:
                 continue
             series, labels = key
             entry = merged[key]
-            label_text = ""
-            if labels:
-                inner = ",".join(
-                    f'{k}="{v}"' for k, v in labels)
-                label_text = "{" + inner + "}"
             value = entry["value"]
             if entry["int"] and float(value).is_integer():
                 value_text = str(int(value))
             else:
                 value_text = f"{value:.6f}"
-            lines.append(f"{series}{label_text} {value_text}")
+            lines.append(f"{series}{format_labels(dict(labels))} "
+                         f"{value_text}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

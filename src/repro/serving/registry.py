@@ -105,13 +105,12 @@ class ModelRegistry:
     """Named, hot-reloadable model store shared by the server threads."""
 
     def __init__(self, expect_task: Optional[str] = None,
-                 compiled: bool = False, compile_workers: int = 1):
+                 compiled: bool = False):
         self._lock = threading.Lock()
         self._entries: Dict[str, ModelEntry] = {}
         self._next_version = 1
         self._expect_task = expect_task
         self._compiled = compiled
-        self._compile_workers = compile_workers
 
     # ------------------------------------------------------------------
     def _make_entry(self, name: str, path: str, meta: Dict[str, Any],
@@ -127,8 +126,7 @@ class ModelRegistry:
         model.eval()
         params = model.parameters()
         dtype = params[0].data.dtype if params else np.dtype(np.float64)
-        compiled = (make_compiled_forward(model, workers=self._compile_workers)
-                    if self._compiled else None)
+        compiled = make_compiled_forward(model) if self._compiled else None
         return ModelEntry(name=name, path=path, model=model, meta=meta,
                           policy=spec.serving.batch_policy(model),
                           dtype=np.dtype(dtype), version=version,

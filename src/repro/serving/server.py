@@ -85,6 +85,23 @@ class RequestError(Exception):
         return {"error": {"type": self.error_type, "detail": self.detail}}
 
 
+def request_content_length(handler: BaseHTTPRequestHandler) -> int:
+    """The request's ``Content-Length`` (0 when absent).
+
+    A value that is not an integer leaves the body's extent unknown, so
+    the connection cannot carry another request: it is marked to close
+    after the ``400 invalid_request`` the caller answers with.
+    """
+    raw = handler.headers.get("Content-Length") or 0
+    try:
+        return int(raw)
+    except ValueError:
+        handler.close_connection = True
+        raise RequestError(400, "invalid_request",
+                           f"Content-Length {raw!r} is not an integer"
+                           ) from None
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
@@ -213,7 +230,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = request_content_length(self)
         if length <= 0:
             raise RequestError(400, "invalid_request", "empty request body")
         if length > self._srv.config.max_body_bytes:

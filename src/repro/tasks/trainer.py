@@ -44,7 +44,6 @@ class TrainConfig:
     # identical to eager by construction — validated on the first replay,
     # with permanent eager fallback on any mismatch.
     compiled: bool = False
-    compile_workers: int = 1
 
 
 @dataclass
@@ -174,8 +173,7 @@ class Trainer:
     def _make_compiled_step(self, step_fn: StepFn, tag: str = ""):
         from ..autodiff.compile import CompiledStep, CompileUnsupported
         try:
-            return CompiledStep(self.model, step_fn,
-                                workers=self.config.compile_workers, tag=tag)
+            return CompiledStep(self.model, step_fn, tag=tag)
         except CompileUnsupported as exc:
             ob = _obs.active()
             if ob is not None:

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import os
+import socket
 
 import numpy as np
 import pytest
@@ -65,3 +66,21 @@ def tiny_series(rng):
             + 0.4 * np.sin(2 * np.pi * t / 24)[None, :, None]
             + 0.02 * t[None, :, None])
     return base + 0.05 * rng.standard_normal((2, 48, 3))
+
+
+@pytest.fixture
+def raw_http():
+    """Send raw request bytes to a server address and read until the
+    server closes the connection; returns ``(status, body bytes)``."""
+    def send(address, request: bytes):
+        with socket.create_connection(address[:2], timeout=30) as sock:
+            sock.sendall(request)
+            data = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        return int(head.split(b" ", 2)[1]), body
+    return send

@@ -17,6 +17,7 @@ import pytest
 
 from repro.baselines import build_model
 from repro.nn import read_checkpoint, save_checkpoint
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
     MicroBatcher, ModelRegistry, ServingConfig, single_forward,
 )
@@ -208,6 +209,18 @@ class TestExpositionMerge:
         assert "repro_requests_total{" in merged_once
         assert " 2.000000" not in merged_once.split("quantile")[0]
 
+    def test_merge_round_trips_escaped_labels(self):
+        value = 'a"b\\c\nd'           # quote, backslash, newline
+        texts = []
+        for count in (1, 2):
+            registry = MetricsRegistry()
+            registry.counter("repro_x_total", "Escapes.").inc(
+                count, labels={"model": value})
+            texts.append(registry.render())
+        (block,) = parse_exposition(merge_expositions(texts))
+        assert [s[:3] for s in block["samples"]] == [
+            ("repro_x_total", (("model", value),), 3)]
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ExpositionError):
             parse_exposition("repro_x{le=} 1")
@@ -325,6 +338,21 @@ class TestClusterEndToEnd:
             assert wstatus == 200
             worker_texts.append(wtext)
         assert text.endswith(merge_expositions(worker_texts))
+
+    def test_non_integer_content_length_is_a_counted_400(self, cluster,
+                                                          raw_http):
+        server, _ = cluster
+        request = (b"POST /v1/forecast HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Type: application/json\r\n"
+                   b"Content-Length: abc\r\n\r\n{}")
+        # raw_http reads to EOF: the front end must answer, then close.
+        status, body = raw_http(server.server_address, request)
+        assert status == 400
+        assert json.loads(body)["error"]["type"] == "invalid_request"
+        host, port = server.server_address[:2]
+        _, text, _ = _Client(host, port).request("GET", "/metrics")
+        assert ('repro_frontend_requests_total{code="400",class="4xx"} 1'
+                in text)
 
     def test_admin_scrape_is_uncounted(self, cluster):
         server, _ = cluster

@@ -439,6 +439,20 @@ class TestHTTPServer:
             {"window": periodic_window(4).tolist(), "timeout_ms": "soon"})
         assert status == 400
 
+    def test_non_integer_content_length_is_a_counted_400(self, server,
+                                                          raw_http):
+        request = (b"POST /v1/forecast HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Type: application/json\r\n"
+                   b"Content-Length: abc\r\n\r\n{}")
+        # The body's extent is unknown, so the server answers and closes
+        # the connection (raw_http reads to EOF; it would hang otherwise).
+        status, body = raw_http(server.server_address, request)
+        assert status == 400
+        assert json.loads(body)["error"]["type"] == "invalid_request"
+        host, port = server.server_address[:2]
+        _, text, _ = _Client(host, port).request("GET", "/metrics")
+        assert 'repro_requests_total{code="400",class="4xx"} 1' in text
+
     def test_models_health_metrics_endpoints(self, server):
         host, port = server.server_address[:2]
         client = _Client(host, port)
