@@ -20,11 +20,6 @@ workers, cold result-cache, warm result-cache — and records the parallel
 speedup, the warm/cold fraction, and whether parallel metrics matched the
 serial reference bit-for-bit (all gated by ``scripts/bench_compare.py``).
 
-A *compiled* section measures the capture/replay graph compiler against
-the interpreted op graph with a drift-immune paired-ratio protocol and
-records the forward/train-step speedups and the compiled peak
-saved-bytes watermark (also gated by ``scripts/bench_compare.py``).
-
 ``src_lines`` (lines of Python under ``src/``) is recorded, ungated, so
 the code budget's trajectory stays visible next to the perf facts.
 """
@@ -44,10 +39,7 @@ if __package__ is None and "repro" not in sys.modules:  # direct execution
 
 import pytest
 
-from repro.autodiff import (
-    CompiledForward, CompiledStep, GraphProfiler, Tensor, conv2d, mse_loss,
-    no_grad,
-)
+from repro.autodiff import GraphProfiler, Tensor, conv2d, mse_loss
 from repro.baselines import build_model
 from repro.core.tf_block import TFBlock
 from repro.nn import MultiHeadAttention
@@ -393,152 +385,6 @@ def bench_trace_store() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Compiled execution: capture/replay vs the interpreted op graph
-# ---------------------------------------------------------------------------
-
-# The gated speedup facts are measured at a dispatch-bound shape (batch 1,
-# short lookback): the compiler removes per-op Python interpretation —
-# graph bookkeeping, kwargs re-binding, elementwise-chain fusion — and
-# that cost is per *op*, not per element.  At production shapes the array
-# arithmetic (identical on both sides by the bitwise contract) dominates
-# and the ratio shrinks; those runs are recorded as informational facts.
-COMPILED_PAIRS = 40
-COMPILED_TRIALS = 3
-COMPILED_GATE_SHAPE = dict(batch_size=1, seq_len=16, pred_len=8, c_in=3)
-COMPILED_PROD_SHAPE = dict(batch_size=8, seq_len=32, pred_len=8, c_in=3)
-
-
-def _paired_ratio(eager_fn, compiled_fn, pairs=COMPILED_PAIRS,
-                  trials=COMPILED_TRIALS) -> float:
-    """Eager/compiled speedup, robust to single-core clock drift.
-
-    Timing two sequential blocks lets multi-percent frequency/cache drift
-    land entirely on one side; alternating single calls and taking the
-    median of the per-pair ratios (then the median over trials) cancels
-    drift slower than one pair, which is the failure mode that made block
-    timings on this suite disagree with themselves by ~20%.
-    """
-    medians = []
-    for _ in range(trials):
-        ratios = []
-        for _ in range(pairs):
-            t0 = time.perf_counter()
-            eager_fn()
-            t1 = time.perf_counter()
-            compiled_fn()
-            t2 = time.perf_counter()
-            ratios.append((t1 - t0) / (t2 - t1))
-        medians.append(float(np.median(ratios)))
-    return float(np.median(medians))
-
-
-def _compiled_train_pair(batch_size, seq_len, pred_len, c_in):
-    """Build one trained-and-validated CompiledStep plus its timing fns."""
-    set_seed(0)
-    model = build_model("TS3Net", seq_len=seq_len, pred_len=pred_len,
-                        c_in=c_in, preset="tiny")
-    rng = np.random.default_rng(2)
-    batch = (rng.standard_normal((batch_size, seq_len, c_in)),
-             rng.standard_normal((batch_size, pred_len, c_in)))
-
-    def step_fn(b):
-        x, y = b
-        return (mse_loss(model(Tensor(x)), y),)
-
-    cstep = CompiledStep(model, step_fn)
-    for _ in range(3):  # capture, bitwise validation, first replay
-        cstep.step(batch)
-    if cstep.disabled:
-        raise RuntimeError(f"compiled step disabled: {cstep.disabled_reason}")
-    return cstep, batch, step_fn
-
-
-def _compiled_infer_pair():
-    """Eval-mode forward: ``no_grad`` eager vs ``CompiledForward`` replay."""
-    set_seed(0)
-    model = build_model("TS3Net", seq_len=32, pred_len=8, c_in=3,
-                        preset="tiny").eval()
-    cf = CompiledForward(model)
-    x = np.random.default_rng(3).standard_normal((1, 32, 3))
-    for _ in range(3):
-        cf.forward(x)
-    if cf.disabled:
-        raise RuntimeError(f"compiled forward disabled: {cf.disabled_reason}")
-
-    def eager():
-        with no_grad():
-            model(Tensor(x))
-
-    return eager, (lambda: cf.forward(x)), cf
-
-
-def _profiled_fit_peak(compiled: bool) -> int:
-    """Peak saved-activation watermark of the obs-harness fit."""
-    trainer, train_b, val_b, step_fn = _obs_fit_harness()
-    trainer.config.profile = True
-    result = trainer.fit(train_b, val_b, step_fn, compiled=compiled)
-    return int(result.profile["peak_saved_bytes"])
-
-
-def bench_compiled() -> dict:
-    """Compiled capture/replay vs the interpreted graph, paired protocol.
-
-    Gated facts (``scripts/bench_compare.py``):
-
-    * ``compiled_forward_speedup`` — graph-building eager forward vs
-      ``CompiledGraph.run_forward`` at the dispatch-bound shape;
-    * ``compiled_train_step_speedup`` — full eager step (zero_grad +
-      forward + backward) vs ``CompiledStep.step`` replay.  Bitwise
-      identity forces both engines through the same backward kernels, so
-      this tops out well below the forward ratio — the gate is set
-      accordingly;
-    * ``compiled_peak_saved_bytes_ratio`` — compiled/eager peak retained
-      activation bytes over an identical profiled fit (compiled replay
-      must not retain more than the eager freeing policy).
-    """
-    cstep, batch, step_fn = _compiled_train_pair(**COMPILED_GATE_SHAPE)
-    graph = next(iter(cstep._graphs.values()))[0]  # the validated trace
-    arrays = tuple(np.asarray(a) for a in batch)
-
-    step_speedup = _paired_ratio(lambda: cstep._eager(batch),
-                                 lambda: cstep.step(batch))
-    forward_speedup = _paired_ratio(lambda: step_fn(batch),
-                                    lambda: graph.run_forward(arrays))
-    timings = {
-        "compiled_train_step_b1": _time_case(lambda: cstep.step(batch), 20),
-        "eager_train_step_b1": _time_case(lambda: cstep._eager(batch), 20),
-    }
-    stats = graph.stats()
-    replays = cstep.replays
-
-    cstep8, batch8, _ = _compiled_train_pair(**COMPILED_PROD_SHAPE)
-    step8_speedup = _paired_ratio(lambda: cstep8._eager(batch8),
-                                  lambda: cstep8.step(batch8),
-                                  pairs=12, trials=1)
-
-    infer_eager, infer_compiled, _cf = _compiled_infer_pair()
-    infer_speedup = _paired_ratio(infer_eager, infer_compiled)
-
-    eager_peak = _profiled_fit_peak(compiled=False)
-    compiled_peak = _profiled_fit_peak(compiled=True)
-
-    facts = {
-        "compiled_forward_speedup": forward_speedup,
-        "compiled_train_step_speedup": step_speedup,
-        "compiled_train_step_speedup_batch8": step8_speedup,
-        "compiled_infer_forward_speedup": infer_speedup,
-        "compiled_validated": bool(cstep.validations >= 1
-                                   and not cstep.disabled),
-        "compiled_replays": replays,
-        "compiled_instructions": stats["instructions"],
-        "eager_peak_saved_bytes": eager_peak,
-        "compiled_peak_saved_bytes": compiled_peak,
-        "compiled_peak_saved_bytes_ratio": compiled_peak / eager_peak,
-    }
-    return {"timings": timings, "facts": facts}
-
-
-# ---------------------------------------------------------------------------
 # Grid benchmark: an 8-cell tiny Table-IV slice through the engine
 # ---------------------------------------------------------------------------
 
@@ -546,6 +392,9 @@ GRID_MODELS = ("DLinear", "LightTS")
 GRID_DATASETS = ("ETTh1", "ETTh2")
 GRID_HORIZONS = (12, 24)
 GRID_WORKERS = 4
+# The warm re-run takes ~1 ms, so one sample is mostly timer and scheduler
+# noise; its timing is the minimum over this many re-runs.
+GRID_WARM_ROUNDS = 5
 
 
 def bench_grid() -> dict:
@@ -565,16 +414,20 @@ def bench_grid() -> dict:
     parallel = run_grid(specs, workers=GRID_WORKERS)
     with tempfile.TemporaryDirectory() as cache_dir:
         cold = run_grid(specs, workers=1, cache_dir=cache_dir)
-        warm = run_grid(specs, workers=1, cache_dir=cache_dir)
+        warm_runs = [run_grid(specs, workers=1, cache_dir=cache_dir)
+                     for _ in range(GRID_WARM_ROUNDS)]
+    warm = min(warm_runs, key=lambda run: run.seconds)
 
-    def entry(run):
-        return {"min_s": run.seconds, "mean_s": run.seconds, "rounds": 1}
+    def entry(*runs):
+        secs = [run.seconds for run in runs]
+        return {"min_s": min(secs), "mean_s": float(np.mean(secs)),
+                "rounds": len(secs)}
 
     timings = {
         "grid_tiny8_workers1": entry(serial),
         f"grid_tiny8_workers{GRID_WORKERS}": entry(parallel),
         "grid_tiny8_cold_cache": entry(cold),
-        "grid_tiny8_warm_cache": entry(warm),
+        "grid_tiny8_warm_cache": entry(*warm_runs),
     }
     facts = {
         "grid_cells": len(specs),
@@ -648,12 +501,6 @@ def run_suite(rounds_scale: float = 1.0, with_grid: bool = True) -> dict:
     for name in trace_bench["timings"]:
         print(f"  {name:35s} min {timings[name]['min_s'] * 1e3:9.3f} ms  "
               f"mean {timings[name]['mean_s'] * 1e3:9.3f} ms")
-    compiled_bench = bench_compiled()
-    timings.update(compiled_bench["timings"])
-    verification.update(compiled_bench["facts"])
-    for name in compiled_bench["timings"]:
-        print(f"  {name:35s} min {timings[name]['min_s'] * 1e3:9.3f} ms  "
-              f"mean {timings[name]['mean_s'] * 1e3:9.3f} ms")
     if with_grid:
         grid = bench_grid()
         timings.update(grid["timings"])
@@ -707,12 +554,6 @@ def main(argv=None) -> int:
     print(f"  trace store: {ver['trace_segments']} rotated segments, indexed "
           f"read at {ver['trace_indexed_over_full']:.1%} of the full scan "
           f"(complete: {ver['trace_indexed_reads_complete']})")
-    print(f"  compiled vs eager: forward {ver['compiled_forward_speedup']:.2f}x, "
-          f"train step {ver['compiled_train_step_speedup']:.2f}x "
-          f"(batch8 {ver['compiled_train_step_speedup_batch8']:.2f}x, "
-          f"infer {ver['compiled_infer_forward_speedup']:.2f}x); "
-          f"{ver['compiled_instructions']} instructions, peak saved bytes "
-          f"{ver['compiled_peak_saved_bytes_ratio']:.2f}x of eager")
     print(f"  src/: {ver['src_lines']:,} lines of Python")
     if "grid_parallel_speedup" in ver:
         print(f"  grid: {ver['grid_cells']} cells, workers="

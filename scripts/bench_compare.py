@@ -44,18 +44,7 @@ gated when present in the current report:
   rotated multi-segment log, as a fraction of the full scan) must stay
   at or below ``--trace-indexed-threshold`` (default 50%) — the footer
   index must let ``repro trace --analyze`` skip segments, not re-read
-  everything — and ``trace_indexed_reads_complete`` must be true;
-* ``compiled_forward_speedup`` (graph-building eager forward over the
-  compiled replay, paired-ratio protocol at the dispatch-bound shape)
-  must stay at or above ``--compiled-speedup-threshold`` (default 1.3x);
-* ``compiled_train_step_speedup`` must stay at or above
-  ``--compiled-step-speedup-threshold`` (default 1.15x — lower than the
-  forward gate because bitwise identity forces the compiled backward
-  through the same kernels as eager, capping the end-to-end ratio);
-* ``compiled_peak_saved_bytes_ratio`` (compiled/eager peak retained
-  activation bytes over an identical profiled fit) must stay at or below
-  ``--compiled-peak-bytes-threshold`` (default 1.0 — compiled replay
-  must never retain more than the eager freeing watermark).
+  everything — and ``trace_indexed_reads_complete`` must be true.
 
 Facts the substrate bench unconditionally records (everything above except
 the optional grid and serving sections) are *required*: a report missing
@@ -236,9 +225,6 @@ REQUIRED_FACTS = (
     "tfblock_freed_over_retained",
     "trainer_obs_disabled_overhead",
     "trace_indexed_over_full",
-    "compiled_forward_speedup",
-    "compiled_train_step_speedup",
-    "compiled_peak_saved_bytes_ratio",
 )
 
 
@@ -274,52 +260,6 @@ def check_trace_store_facts(current: dict, indexed_threshold: float) -> int:
               "than the full scan — the footer index is dropping records",
               file=sys.stderr)
         failures += 1
-    return 1 if failures else 0
-
-
-def check_compiled_facts(current: dict, fwd_threshold: float,
-                         step_threshold: float, peak_threshold: float) -> int:
-    """Gate the graph compiler's speedups and peak bytes; 0 = ok, 1 = fail."""
-    ver = current.get("verification", {})
-    if "compiled_forward_speedup" not in ver:
-        return 0  # absence is reported by check_required_facts
-    failures = 0
-    fwd = float(ver["compiled_forward_speedup"])
-    step = float(ver.get("compiled_train_step_speedup", 0.0))
-    print(f"compiled: forward {fwd:.2f}x (threshold {fwd_threshold:.2f}x), "
-          f"train step {step:.2f}x (threshold {step_threshold:.2f}x); "
-          f"batch8 step {ver.get('compiled_train_step_speedup_batch8', 0):.2f}x, "
-          f"infer {ver.get('compiled_infer_forward_speedup', 0):.2f}x "
-          "(informational)")
-    if fwd < fwd_threshold:
-        print(f"FAIL: compiled forward replay only reached {fwd:.2f}x the "
-              f"interpreted forward (minimum {fwd_threshold:.2f}x) — the "
-              "compiler is no longer paying for its dispatch",
-              file=sys.stderr)
-        failures += 1
-    if step < step_threshold:
-        print(f"FAIL: compiled train step only reached {step:.2f}x eager "
-              f"(minimum {step_threshold:.2f}x); note the backward half is "
-              "compute-parity by the bitwise contract, so regressions here "
-              "are in replay dispatch or the backward program walk",
-              file=sys.stderr)
-        failures += 1
-    if not ver.get("compiled_validated", False):
-        print("FAIL: compiled step was not bitwise-validated (capture "
-              "disabled itself or validation never ran)", file=sys.stderr)
-        failures += 1
-    if "compiled_peak_saved_bytes_ratio" in ver:
-        ratio = float(ver["compiled_peak_saved_bytes_ratio"])
-        print(f"compiled: peak saved-activation bytes "
-              f"{ver.get('compiled_peak_saved_bytes', 0):,} vs eager "
-              f"{ver.get('eager_peak_saved_bytes', 0):,} = {ratio:.3f}x "
-              f"(threshold {peak_threshold:.2f}x)")
-        if ratio > peak_threshold:
-            print(f"FAIL: compiled execution retained {ratio:.3f}x the eager "
-                  f"peak saved-activation bytes (limit {peak_threshold:.2f}x) "
-                  "— compiled replay exceeds the freeing watermark",
-                  file=sys.stderr)
-            failures += 1
     return 1 if failures else 0
 
 
@@ -393,23 +333,6 @@ def main(argv=None) -> int:
                         help="max indexed/full read-time fraction on a "
                              "rotated trace log (0.5 = the footer index "
                              "must at least halve the analysis read)")
-    parser.add_argument("--compiled-speedup-threshold", type=float,
-                        default=1.3,
-                        help="minimum compiled/eager forward speedup at the "
-                             "dispatch-bound bench shape (1.3 = replay must "
-                             "run the forward >=1.3x faster)")
-    parser.add_argument("--compiled-step-speedup-threshold", type=float,
-                        default=1.15,
-                        help="minimum compiled/eager full-train-step speedup "
-                             "(lower than the forward gate: the backward "
-                             "half is compute-parity by the bitwise "
-                             "contract)")
-    parser.add_argument("--compiled-peak-bytes-threshold", type=float,
-                        default=1.0,
-                        help="max compiled/eager peak saved-activation "
-                             "bytes ratio over an identical profiled fit "
-                             "(1.0 = compiled replay must not exceed the "
-                             "eager freeing watermark)")
     args = parser.parse_args(argv)
     for path in (args.current, args.baseline):
         if not os.path.exists(path):
@@ -427,13 +350,9 @@ def main(argv=None) -> int:
     obs_status = check_obs_facts(current, args.obs_overhead_threshold)
     trace_status = check_trace_store_facts(current,
                                            args.trace_indexed_threshold)
-    compiled_status = check_compiled_facts(
-        current, args.compiled_speedup_threshold,
-        args.compiled_step_speedup_threshold,
-        args.compiled_peak_bytes_threshold)
     return (status or required_status or grid_status or memory_status
             or serving_status or cluster_status or obs_status
-            or trace_status or compiled_status)
+            or trace_status)
 
 
 if __name__ == "__main__":

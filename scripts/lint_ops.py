@@ -7,8 +7,8 @@
    wiring, ``OpNode(...)`` instantiation, the retired ``Tensor._make``,
    or mutation of the ``registered_ops()`` view — so new code cannot
    bypass ``apply()``/``@register_op`` (and with it the gradient-check
-   sweep, the hooks, the freeing policy, and the graph compiler, which
-   all assume the registry describes every op on the tape).
+   sweep, the hooks, and the freeing policy, which all assume the
+   registry describes every op on the tape).
 
 2. Library code must not ``print()``.  Progress and diagnostics route
    through the event sink (``repro.obs``) so they land in the JSONL run

@@ -16,10 +16,6 @@ from .ops import (
     log_softmax, cross_entropy_loss, window_view, instance_std,
 )
 from .grad_check import check_gradients, check_registered_op, numerical_gradient
-from .compile import (
-    CompileUnsupported, CompiledForward, CompiledGraph, CompiledStep,
-    make_compiled_forward,
-)
 
 __all__ = [
     "Tensor", "apply", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones",
@@ -32,8 +28,6 @@ __all__ = [
     "cross_entropy_loss", "instance_std",
     "check_gradients", "check_registered_op",
     "numerical_gradient",
-    "CompileUnsupported", "CompiledForward", "CompiledGraph", "CompiledStep",
-    "make_compiled_forward",
     "OpNode", "register_op", "get_op", "registered_ops", "HookHandle",
     "add_op_forward_hook", "add_op_backward_hook", "GraphProfiler",
     "format_profile",

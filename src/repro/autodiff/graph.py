@@ -96,7 +96,7 @@ class OpNode:
         self.saved_bytes = _retained_nbytes(saved)
         self.freed = False
         # Per-parent "gradient wanted" mask, filled in by the backward
-        # driver (eager walk or compiled program) just before dispatch.
+        # walk just before dispatch.
         # ``None`` means "compute everything"; op backwards that honour the
         # mask skip dead input gradients (the sink would discard them).
         self.needs = None

@@ -393,11 +393,9 @@ def instance_std(x: Tensor, axis: int = 1, eps: float = 1e-5) -> Tensor:
     """Per-instance standard deviation ``sqrt(var(x, axis) + eps)``.
 
     The instance-normalisation statistic of the TimesNet protocol as a
-    single tape node, so models can compute it *on-tape* (usually under
-    ``no_grad()``) instead of baking a batch-dependent constant — which is
-    what lets the graph compiler replay normalisation per batch.  The
-    forward is byte-for-byte ``np.sqrt(np.var(x, axis, keepdims=True) +
-    eps)``.
+    single tape node, so models compute it *on-tape* (usually under
+    ``no_grad()``) from each batch.  The forward is byte-for-byte
+    ``np.sqrt(np.var(x, axis, keepdims=True) + eps)``.
     """
     return apply("instance_std", _as_tensor(x), axis=axis, eps=eps)
 

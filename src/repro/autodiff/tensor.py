@@ -56,11 +56,6 @@ class _EngineState(threading.local):
 
     grad_enabled = True
     default_dtype = DEFAULT_DTYPE
-    # Optional graph-capture sink installed by the compiler
-    # (repro.autodiff.compile): called once per apply() with the op name,
-    # parents, kwargs, output tensor, and OpNode (or None).  Thread-local,
-    # so a capture on one thread never observes another thread's tape.
-    capture = None
 
 
 _state = _EngineState()
@@ -435,9 +430,7 @@ class Tensor:
 def _topo_order(root: "Tensor") -> list:
     """Iterative DFS topological order of ``root``'s recorded graph.
 
-    Shared by ``Tensor.backward`` and the graph compiler's capture pass so
-    the compiled backward program replays nodes in exactly the order the
-    eager walk would process them (reverse of this list).
+    ``Tensor.backward`` processes nodes in the reverse of this list.
     """
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -486,8 +479,6 @@ def apply(name: str, *parents: Tensor, **kwargs) -> Tensor:
     if requires:
         node = OpNode(name, parents, ctx.saved)
         out._node = node
-    if _state.capture is not None:
-        _state.capture(name, parents, kwargs, out, node)
     if _forward_hooks:
         nbytes = node.saved_bytes if node is not None else 0
         for hook in tuple(_forward_hooks.values()):

@@ -83,7 +83,7 @@ def cmd_train(args) -> int:
           f"{model.num_parameters():,} parameters")
 
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, verbose=True,
-                      profile=args.profile, compiled=args.compiled)
+                      profile=args.profile)
     result = run_task(spec, model, data, config, cfg)
     print(f"{spec.format_result(result)} "
           f"({result.epochs_run} epochs, {result.seconds:.0f}s)")
@@ -190,7 +190,7 @@ def cmd_serve(args) -> int:
     if args.workers > 1:
         return _serve_cluster(args, names, serving)
 
-    registry = ModelRegistry(expect_task=args.task, compiled=args.compiled)
+    registry = ModelRegistry(expect_task=args.task)
     for i, path in enumerate(args.checkpoint):
         name = names[i] if names else peek_metadata(path).get("model", path)
         try:
@@ -217,7 +217,7 @@ def _serve_cluster(args, names, serving) -> int:
     config = ClusterConfig(
         workers=args.workers, host=args.host, port=args.port,
         spool_dir=args.spool_dir, spread=args.spread, serving=serving,
-        compiled=args.compiled, expect_task=args.task,
+        expect_task=args.task,
         trace_path=getattr(args, "trace", None), slo=args.slo)
     try:
         server = build_cluster(config, checkpoints)
@@ -321,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--anomaly-ratio", type=float, default=0.01)
     train.add_argument("--num-classes", type=int, default=3)
     train.add_argument("--save", default=None, help="checkpoint path (.npz)")
-    train.add_argument("--compiled", action="store_true",
-                       help="capture/replay compiled training steps "
-                            "(bitwise-validated, eager fallback on any "
-                            "unsupported construct or shape change)")
     train.add_argument("--profile", action="store_true",
                        help="record per-op/per-module telemetry during the "
                             "fit and print the parameter + profile tables")
@@ -362,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "are shed with a 503")
     serve.add_argument("--timeout-ms", type=float, default=2000.0,
                        help="default per-request deadline")
-    serve.add_argument("--compiled", action="store_true",
-                       help="serve each model through a compiled forward "
-                            "graph (bitwise-validated per input shape; "
-                            "hot-reload swaps in a fresh compile)")
     serve.add_argument("--workers", type=int, default=1,
                        help="serve through a pre-fork cluster of this many "
                             "worker processes sharing copy-on-write weight "

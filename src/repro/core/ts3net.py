@@ -155,9 +155,7 @@ class TS3Net(Module):
         cfg = self.config
         if cfg.use_norm:
             # Statistics are detached (no_grad: gradients do not flow into
-            # them, matching the standard stop-gradient instance norm) but
-            # evaluated on-tape, so a compiled capture recomputes them per
-            # replayed batch instead of baking stale constants.
+            # them, matching the standard stop-gradient instance norm).
             with no_grad():
                 mean = x.mean(axis=1, keepdims=True)
                 std = ops.instance_std(x, axis=1, eps=1e-5)
@@ -263,31 +261,6 @@ class TS3Net(Module):
             seasonal, _ = self.trend_decomp(Tensor(np.asarray(window)[None]))
         top = topk_frequencies(seasonal.data, k=cfg.top_k_periods)
         return tuple(int(f) for f in top)
-
-    # ------------------------------------------------------------------
-    def trace_signature(self, x: np.ndarray) -> tuple:
-        """Graph-compiler trace key: per-batch values baked into a capture.
-
-        The only batch-dependent constants the forward pass folds into the
-        graph structure are Eq. 2's detected periods (the S-GD chunk sizes
-        are kwargs, not tape values).  This mirrors the forward's exact
-        normalise -> trend-split -> detect_periods pipeline under
-        ``no_grad`` so a captured graph is replayed **only** for batches
-        whose periods match bit-for-bit — any other batch gets its own
-        trace (see ``repro.autodiff.compile``).
-        """
-        cfg = self.config
-        if not cfg.use_td:
-            return ()
-        with no_grad():
-            xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-            if cfg.use_norm:
-                mean = xt.mean(axis=1, keepdims=True)
-                std = ops.instance_std(xt, axis=1, eps=1e-5)
-                xt = (xt - mean) / std
-            seasonal, _ = self.trend_decomp(xt)
-        periods, _ = detect_periods(seasonal.data, k=cfg.top_k_periods)
-        return tuple(int(p) for p in periods)
 
     # ------------------------------------------------------------------
     def decompose(self, x: Tensor):

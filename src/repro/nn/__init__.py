@@ -1,10 +1,7 @@
 """Neural-network layer library on the autodiff substrate."""
 
 from .module import Module, ModuleList, Parameter, Sequential
-from .layers import (
-    BatchNorm2d, Conv1d, Conv2d, Dropout, GELU, Identity, LayerNorm, Linear,
-    ReLU, RevIN, Sigmoid, Tanh,
-)
+from .layers import Conv1d, Conv2d, Dropout, GELU, LayerNorm, Linear, ReLU
 from .embedding import (
     DataEmbedding, LinearEmbedding, PositionalEmbedding, TokenEmbedding,
     sinusoidal_position_encoding,
@@ -13,7 +10,7 @@ from .attention import (
     AutoCorrelation, MultiHeadAttention, ProbSparseAttention,
     scaled_dot_attention,
 )
-from .inception import ConvBackbone2d, InceptionBlock2d
+from .inception import InceptionBlock2d
 from .transformer import EncoderLayer, FeedForward, TransformerEncoder
 from .serialization import (
     load_checkpoint, peek_metadata, read_checkpoint, save_checkpoint,
@@ -23,12 +20,11 @@ from . import init
 
 __all__ = [
     "Module", "ModuleList", "Parameter", "Sequential",
-    "BatchNorm2d", "Conv1d", "Conv2d", "Dropout", "GELU", "Identity",
-    "LayerNorm", "Linear", "ReLU", "RevIN", "Sigmoid", "Tanh",
+    "Conv1d", "Conv2d", "Dropout", "GELU", "LayerNorm", "Linear", "ReLU",
     "DataEmbedding", "LinearEmbedding", "PositionalEmbedding",
     "TokenEmbedding", "sinusoidal_position_encoding",
     "AutoCorrelation", "MultiHeadAttention", "ProbSparseAttention",
-    "scaled_dot_attention", "ConvBackbone2d", "InceptionBlock2d",
+    "scaled_dot_attention", "InceptionBlock2d",
     "EncoderLayer", "FeedForward", "TransformerEncoder", "init",
     "load_checkpoint", "peek_metadata", "read_checkpoint",
     "save_checkpoint",

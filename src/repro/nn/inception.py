@@ -11,7 +11,7 @@ averaged.
 from __future__ import annotations
 
 from ..autodiff import Tensor
-from .layers import Conv2d, GELU
+from .layers import Conv2d
 from .module import Module, ModuleList
 
 
@@ -43,15 +43,3 @@ class InceptionBlock2d(Module):
             total = total + out
         return total / float(len(outs))
 
-
-class ConvBackbone2d(Module):
-    """The ``ConvBackbone`` of Eq. 13: inception -> GELU -> inception."""
-
-    def __init__(self, channels: int, hidden_channels: int, num_kernels: int = 3):
-        super().__init__()
-        self.block1 = InceptionBlock2d(channels, hidden_channels, num_kernels)
-        self.act = GELU()
-        self.block2 = InceptionBlock2d(hidden_channels, channels, num_kernels)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.block2(self.act(self.block1(x)))

@@ -6,7 +6,7 @@ running on the :mod:`repro.autodiff` substrate.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -98,37 +98,6 @@ class LayerNorm(Module):
         return normed * self.weight + self.bias
 
 
-class BatchNorm2d(Module):
-    """Batch normalisation for NCHW tensors with running statistics."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__()
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features))
-        self.bias = Parameter(np.zeros(num_features))
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mu.data.reshape(-1))
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var.data.reshape(-1))
-        else:
-            mu = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-            centered = x - mu
-        normed = centered / (var + self.eps).sqrt()
-        w = self.weight.reshape(1, -1, 1, 1)
-        b = self.bias.reshape(1, -1, 1, 1)
-        return normed * w + b
-
-
 class Dropout(Module):
     """Inverted dropout, active only in training mode."""
 
@@ -148,54 +117,3 @@ class ReLU(Module):
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.gelu(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.sigmoid(x)
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class RevIN(Module):
-    """Reversible instance normalisation (Non-stationary Transformer trick).
-
-    Normalises each series instance by its own mean/std on the way in and
-    de-normalises predictions on the way out. Shapes are (B, T, C).
-    """
-
-    def __init__(self, num_features: int, eps: float = 1e-5, affine: bool = False):
-        super().__init__()
-        self.eps = eps
-        self.affine = affine
-        if affine:
-            self.weight = Parameter(np.ones(num_features))
-            self.bias = Parameter(np.zeros(num_features))
-        self._mean: Optional[np.ndarray] = None
-        self._std: Optional[np.ndarray] = None
-
-    def normalize(self, x: Tensor) -> Tensor:
-        self._mean = x.data.mean(axis=1, keepdims=True)
-        self._std = np.sqrt(x.data.var(axis=1, keepdims=True) + self.eps)
-        out = (x - Tensor(self._mean)) / Tensor(self._std)
-        if self.affine:
-            out = out * self.weight + self.bias
-        return out
-
-    def denormalize(self, x: Tensor) -> Tensor:
-        if self._mean is None:
-            raise RuntimeError("denormalize() called before normalize()")
-        if self.affine:
-            x = (x - self.bias) / (self.weight + self.eps)
-        return x * Tensor(self._std) + Tensor(self._mean)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.normalize(x)

@@ -195,31 +195,6 @@ def render_profiles(records: Sequence[Dict]) -> Optional[str]:
     return "\n\n".join(blocks)
 
 
-def render_compiled(records: Sequence[Dict]) -> Optional[str]:
-    """Compiled-execution telemetry: per-fit stats plus fallback reasons."""
-    fits = [r for r in records if r.get("kind") == "event"
-            and r.get("name") == "trainer.compiled"]
-    fallbacks = [r for r in records if r.get("kind") == "event"
-                 and r.get("name") == "compile.fallback"]
-    if not fits and not fallbacks:
-        return None
-    lines = []
-    for ev in fits:
-        attrs = ev.get("attrs", {})
-        line = (f"{attrs.get('model', '?')}: {attrs.get('graphs', 0)} "
-                f"graph(s), {attrs.get('captures', 0)} captures, "
-                f"{attrs.get('validations', 0)} validations, "
-                f"{attrs.get('replays', 0)} replays")
-        if attrs.get("disabled"):
-            line += f"  DISABLED: {attrs.get('disabled_reason')}"
-        lines.append(line)
-    for ev in fallbacks:
-        attrs = ev.get("attrs", {})
-        lines.append(f"fallback ({attrs.get('model', '?')}, "
-                     f"{attrs.get('mode', '?')}): {attrs.get('reason')}")
-    return "\n".join(lines)
-
-
 def render_resources(records: Sequence[Dict]) -> Optional[str]:
     samples = [r for r in records if r.get("kind") == "resource"]
     if not samples:
@@ -248,7 +223,6 @@ def render_report(records: Sequence[Dict]) -> str:
     sections = [("span tree", render_span_tree(records)),
                 ("epochs", render_epochs(records)),
                 ("op profile", render_profiles(records)),
-                ("compiled execution", render_compiled(records)),
                 ("grid cells", render_cells(records)),
                 ("serving", render_requests(records)),
                 ("resources", render_resources(records))]

@@ -248,18 +248,11 @@ class MicroBatcher:
                 stacked = np.stack([p.window for p in group])
                 t0 = time.perf_counter()
                 with precision(entry.dtype), no_grad():
-                    if entry.compiled is not None:
-                        # Replay the entry's compiled graph; it validates
-                        # itself bitwise against eager on first use and
-                        # falls back eagerly forever on any mismatch, so
-                        # the single_forward repr-identity contract holds.
-                        # The per-row np.array() copies below give every
-                        # waiter its own array, not a view of the batch.
-                        out = entry.compiled.forward(stacked)
-                    else:
-                        out = entry.model(Tensor(stacked)).data
+                    out = entry.model(Tensor(stacked)).data
                 self._emit_batch_span(group, time.perf_counter() - t0)
                 self.metrics.observe_batch(len(group))
+                # np.array() gives every waiter its own row, not a view of
+                # the batch.
                 for pending, row in zip(group, out):
                     pending.future.set_result(np.array(row))
             except Exception as exc:  # surface the failure to every waiter

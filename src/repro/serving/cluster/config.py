@@ -39,7 +39,6 @@ class ClusterConfig:
     # killed outright.
     drain_timeout_s: float = 10.0
     serving: ServingConfig = field(default_factory=ServingConfig)
-    compiled: bool = False
     expect_task: Optional[str] = None
     # JSONL trace path shared by front end and workers (O_APPEND writes
     # keep one file coherent across processes); None = tracing off.

@@ -116,7 +116,7 @@ class WorkerPool:
         return WorkerSpec(
             worker_id=worker_id, host=cfg.host,
             spool_dir=self.store.spool_dir, models=self._current_models(),
-            serving=cfg.serving, compiled=cfg.compiled,
+            serving=cfg.serving,
             expect_task=cfg.expect_task, trace_path=cfg.trace_path,
             heartbeat_interval_s=cfg.heartbeat_interval_s,
             drain_timeout_s=cfg.drain_timeout_s)

@@ -56,7 +56,6 @@ class WorkerSpec:
     # rejoins at the cluster's live weights.
     models: List[Tuple[str, int]] = field(default_factory=list)
     serving: ServingConfig = field(default_factory=ServingConfig)
-    compiled: bool = False
     expect_task: Optional[str] = None
     trace_path: Optional[str] = None
     heartbeat_interval_s: float = 0.25
@@ -188,8 +187,7 @@ def worker_main(spec: WorkerSpec, conn) -> int:
         _obs.configure(path=spec.trace_path)
 
     store = WeightStore(spec.spool_dir)
-    registry = ModelRegistry(expect_task=spec.expect_task,
-                             compiled=spec.compiled)
+    registry = ModelRegistry(expect_task=spec.expect_task)
     for name, version in spec.models:
         registry.load_attached(name, store.attach(name, version),
                                version=version)

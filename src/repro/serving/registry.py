@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..autodiff import make_compiled_forward
 from ..nn import load_checkpoint, peek_metadata, validate_checkpoint_metadata
 # The policy classifier lives with the TaskSpec registry now (every task
 # declares its serving batch policy there); re-exported for compatibility.
@@ -58,12 +57,6 @@ class ModelEntry:
     policy: str
     dtype: np.dtype
     version: int
-    # CompiledForward for this entry's weights, or None (registry built
-    # without --compiled, or the architecture is not traceable).  Living
-    # on the immutable entry makes hot-reload invalidation structural:
-    # the swapped-in entry carries a fresh instance, so no compiled graph
-    # can outlive the weights it was traced against.
-    compiled: Optional[Any] = None
     loaded_at: float = field(default_factory=time.time)
 
     @property
@@ -93,7 +86,6 @@ class ModelEntry:
             "c_in": self.c_in,
             "dtype": str(self.dtype),
             "batch_policy": self.policy,
-            "compiled": self.compiled is not None,
             "version": self.version,
             "loaded_at": self.loaded_at,
             "checkpoint": self.path,
@@ -104,13 +96,11 @@ class ModelEntry:
 class ModelRegistry:
     """Named, hot-reloadable model store shared by the server threads."""
 
-    def __init__(self, expect_task: Optional[str] = None,
-                 compiled: bool = False):
+    def __init__(self, expect_task: Optional[str] = None):
         self._lock = threading.Lock()
         self._entries: Dict[str, ModelEntry] = {}
         self._next_version = 1
         self._expect_task = expect_task
-        self._compiled = compiled
 
     # ------------------------------------------------------------------
     def _make_entry(self, name: str, path: str, meta: Dict[str, Any],
@@ -126,11 +116,9 @@ class ModelRegistry:
         model.eval()
         params = model.parameters()
         dtype = params[0].data.dtype if params else np.dtype(np.float64)
-        compiled = make_compiled_forward(model) if self._compiled else None
         return ModelEntry(name=name, path=path, model=model, meta=meta,
                           policy=spec.serving.batch_policy(model),
-                          dtype=np.dtype(dtype), version=version,
-                          compiled=compiled)
+                          dtype=np.dtype(dtype), version=version)
 
     def _build_entry(self, name: str, path: str, version: int) -> ModelEntry:
         return self._make_entry(

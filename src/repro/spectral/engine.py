@@ -32,8 +32,8 @@ against (``tests/test_spectral_engine.py``).
 
 Precision: master filter data is kept in ``complex128``; when the input is
 ``float32`` the engine computes in ``complex64`` using lazily cached
-single-precision spectra (``scipy.fft`` preserves single precision, unlike
-``numpy.fft`` which always promotes to ``complex128``).
+single-precision spectra (``numpy.fft`` keeps single precision from NumPy
+2.0 on).
 """
 
 from __future__ import annotations
@@ -43,19 +43,24 @@ from typing import Dict
 
 import numpy as np
 
-try:  # scipy.fft keeps complex64 single-precision and has next_fast_len
-    from scipy import fft as _fft
-
-    def _next_fast_len(n: int) -> int:
-        return _fft.next_fast_len(n)
-
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _fft = np.fft
-
-    def _next_fast_len(n: int) -> int:
-        return int(2 ** math.ceil(math.log2(max(n, 1))))
-
 from .wavelets import Wavelet
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer ``>= n``: a length pocketfft factors fast.
+
+    Equal to ``scipy.fft.next_fast_len(n)`` (the tests check it): the FFT
+    length fixes every float64 output bit, so the bitwise goldens hold.
+    """
+    m = max(int(n), 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def _working_dtypes(x: np.ndarray):
@@ -226,14 +231,15 @@ class FFTSpectralEngine(SpectralEngine):
         x = self._prepare_input(x)
         _, cdtype = _working_dtypes(x)
         spectra = self._g(cdtype)
-        spec_x = _fft.fft(x.astype(cdtype, copy=False), n=self.fft_len, axis=-1)
+        spec_x = np.fft.fft(x.astype(cdtype, copy=False), n=self.fft_len,
+                            axis=-1)
         prod = self._scratch_for(
             x.shape[:-1] + (self.num_scales, self.fft_len), cdtype)
         np.multiply(spec_x[..., None, :], spectra, out=prod)
         # One monolithic batched IFFT: pocketfft amortises plan startup
-        # across the whole (batch * lambda) batch, and overwrite_x reuses
-        # the product buffer instead of allocating another ~10 MB.
-        return _fft.ifft(prod, axis=-1, overwrite_x=True)
+        # across the whole (batch * lambda) batch, and out= reuses the
+        # product buffer instead of allocating another ~10 MB.
+        return np.fft.ifft(prod, axis=-1, out=prod)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         coeffs = self._convolve(x)[..., : self.seq_len]
@@ -257,12 +263,13 @@ class FFTSpectralEngine(SpectralEngine):
             if self._conj_spectra is None:
                 self._conj_spectra = np.conj(self._spectra)
             conj = self._conj_spectra
-        spec_g = _fft.fft(g.astype(cdtype, copy=False), n=self.fft_len, axis=-1)
+        spec_g = np.fft.fft(g.astype(cdtype, copy=False), n=self.fft_len,
+                            axis=-1)
         prod = self._scratch_for(spec_g.shape, cdtype)
         np.multiply(spec_g, conj, out=prod)
         # Sum over scales in the frequency domain: one IFFT total, not lambda.
         pooled = prod.sum(axis=-2)
-        back = _fft.ifft(pooled, axis=-1, overwrite_x=True)[..., : self.seq_len]
+        back = np.fft.ifft(pooled, axis=-1, out=pooled)[..., : self.seq_len]
         return np.ascontiguousarray(back.real, dtype=rdtype)
 
     @property

@@ -158,9 +158,9 @@ def run_classification(model: SeriesClassifier, x: np.ndarray, y: np.ndarray,
                        seed: int = 0) -> ClassificationResult:
     """Train on the first ``train_fraction`` of samples, report test accuracy.
 
-    Thin wrapper over the shared Trainer (spans/--profile/--compiled
-    included).  Validation reuses the test slice, patience is pinned to the
-    epoch budget, and the LR is held constant so the historical fixed-seed
+    Thin wrapper over the shared Trainer (spans/--profile included).
+    Validation reuses the test slice, patience is pinned to the epoch
+    budget, and the LR is held constant so the historical fixed-seed
     behaviour of this helper (train on every epoch, evaluate once at the
     end) is preserved.
     """

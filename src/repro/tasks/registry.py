@@ -9,8 +9,7 @@ frozen :class:`TaskSpec`,
   (``make_config`` + ``loaders``, plus ``load_data`` for tasks that do not
   consume a :class:`~repro.data.dataset.SplitData` split);
 * **training** — the ``step_fn`` the shared :class:`~repro.tasks.trainer.
-  Trainer` consumes (eager and compiled — compiled trace keys carry the
-  task name);
+  Trainer` consumes;
 * **evaluation** — the metric bundle reported on the test split
   (``evaluate`` + ``metric_names``);
 * **checkpoints** — the metadata contract a ``repro train --save``
@@ -197,11 +196,10 @@ def run_task(task, model, data, config,
     """Train ``model`` on ``data`` under the task's contract.
 
     ``task`` is a name or a :class:`TaskSpec`.  Builds the spec's loaders,
-    fits through the shared :class:`Trainer` (spans, ``--profile``, and
-    ``--compiled`` included — the compiled trace key carries the task
-    name), then runs the spec's evaluation.  The result's ``metrics`` dict
-    holds the task's metric bundle; ``mse``/``mae`` are filled when the
-    task reports them, so existing grid/table consumers keep working.
+    fits through the shared :class:`Trainer` (spans and ``--profile``
+    included), then runs the spec's evaluation.  The result's ``metrics``
+    dict holds the task's metric bundle; ``mse``/``mae`` are filled when
+    the task reports them, so existing grid/table consumers keep working.
     """
     spec = task if isinstance(task, TaskSpec) else get_task(task)
     train_loader, val_loader, test_loader = spec.loaders(data, config)

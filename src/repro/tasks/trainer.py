@@ -39,11 +39,6 @@ class TrainConfig:
     verbose: bool = False
     precision: str = "float64"
     profile: bool = False
-    # Compiled execution (repro.autodiff.compile): capture/replay the
-    # training step per (shape, dtype, trace-signature) key.  Bitwise
-    # identical to eager by construction — validated on the first replay,
-    # with permanent eager fallback on any mismatch.
-    compiled: bool = False
 
 
 @dataclass
@@ -93,7 +88,6 @@ class Trainer:
         self.optimizer = Adam(model.parameters(), lr=self.config.lr)
         self.scheduler = ExponentialDecay(self.optimizer, gamma=self.config.lr_decay)
         self.last_eval_seconds = 0.0
-        self._compiled_step = None
 
     # ------------------------------------------------------------------
     def _run_epoch(self, loader, step_fn: StepFn, train: bool) -> float:
@@ -106,18 +100,12 @@ class Trainer:
         # array allocation at epoch end.
         loss_sum = 0.0
         batches = 0
-        cstep = self._compiled_step
         for batch in loader:
             if train:
-                if cstep is not None:
-                    # Capture/validate/replay (or its own eager fallback);
-                    # zero_grad + forward + backward happen inside.
-                    loss_val = cstep.step(batch)
-                else:
-                    self.model.zero_grad()
-                    loss, *_ = step_fn(batch)
-                    loss.backward()
-                    loss_val = float(loss.data)
+                self.model.zero_grad()
+                loss, *_ = step_fn(batch)
+                loss.backward()
+                loss_val = float(loss.data)
                 if self.config.clip_norm:
                     clip_grad_norm(self.model.parameters(), self.config.clip_norm)
                 self.optimizer.step()
@@ -130,19 +118,11 @@ class Trainer:
         return loss_sum / batches if batches else float("nan")
 
     def fit(self, train_loader, val_loader, step_fn: StepFn,
-            compiled: Optional[bool] = None,
             task: Optional[str] = None) -> FitResult:
         """Train until the epoch budget or early stopping trips.
 
-        ``compiled`` overrides ``TrainConfig.compiled``: when on, training
-        steps run through a :class:`repro.autodiff.compile.CompiledStep`
-        (capture/replay with fusion, buffer pooling, and parallel
-        dispatch), which is bitwise-validated against the eager step and
-        falls back to eager execution on any unsupported construct.
         ``task`` (the registry name, when fitting through
-        ``repro.tasks.registry.run_task``) tags the compiled trace key so
-        different tasks' captures of the same model never collide, and is
-        recorded on the fit span.
+        ``repro.tasks.registry.run_task``) is recorded on the fit span.
 
         When an observer is configured (``repro.obs.configure``), the fit
         runs under a ``trainer.fit`` span with one retroactive
@@ -150,10 +130,6 @@ class Trainer:
         the only extra work is the ``obs.active()`` load below (gated by
         the ``trainer_obs_disabled_overhead`` benchmark fact).
         """
-        use_compiled = self.config.compiled if compiled is None else compiled
-        self._compiled_step = (
-            self._make_compiled_step(step_fn, tag=task or "")
-            if use_compiled else None)
         ob = _obs.active()
         if ob is None:
             return self._fit(None, train_loader, val_loader, step_fn)
@@ -169,18 +145,6 @@ class Trainer:
             if result.profile is not None:
                 span.set(profile=result.profile)
         return result
-
-    def _make_compiled_step(self, step_fn: StepFn, tag: str = ""):
-        from ..autodiff.compile import CompiledStep, CompileUnsupported
-        try:
-            return CompiledStep(self.model, step_fn, tag=tag)
-        except CompileUnsupported as exc:
-            ob = _obs.active()
-            if ob is not None:
-                ob.event("compile.fallback",
-                         {"reason": str(exc), "mode": "train",
-                          "model": type(self.model).__name__})
-            return None
 
     def _fit(self, ob, train_loader, val_loader, step_fn: StepFn) -> FitResult:
         result = FitResult()
@@ -198,18 +162,12 @@ class Trainer:
                 result.profile = profiler.summary()
         stopper.restore_best(self.model)
         result.seconds = time.time() - start
-        if ob is not None:
-            if result.profile is not None:
-                # Satellite of the compiled-mode PR: the --profile summary
-                # is a first-class run event, rendered as a per-op table by
-                # repro.obs.report.
-                ob.event("trainer.profile", {
-                    "model": type(self.model).__name__,
-                    **result.profile})
-            if self._compiled_step is not None:
-                ob.event("trainer.compiled",
-                         dict(self._compiled_step.stats(),
-                              model=type(self.model).__name__))
+        if ob is not None and result.profile is not None:
+            # The --profile summary is a first-class run event, rendered
+            # as a per-op table by repro.obs.report.
+            ob.event("trainer.profile", {
+                "model": type(self.model).__name__,
+                **result.profile})
         return result
 
     def _fit_loop(self, ob, result: FitResult, stopper, train_loader,

@@ -48,6 +48,18 @@ class TestExperimentCLIs:
         assert proc.returncode == 0
 
 
+class TestRuntimeDependencies:
+    def test_library_imports_without_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test reference.
+        code = ("import sys, repro, repro.cli, repro.serving; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestDocstringsPresent:
     @pytest.mark.parametrize("obj", [
         repro.TS3Net, repro.TS3NetConfig, repro.Tensor,

@@ -1,15 +1,15 @@
-"""Tests for concrete layers: Linear, Conv, norms, dropout, RevIN, embeddings."""
+"""Tests for concrete layers: Linear, Conv, norms, dropout, embeddings."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, check_gradients
 from repro.nn import (
-    BatchNorm2d, Conv1d, Conv2d, DataEmbedding, Dropout, GELU, Identity,
-    LayerNorm, Linear, LinearEmbedding, PositionalEmbedding, ReLU, RevIN,
-    Sigmoid, Tanh, TokenEmbedding, sinusoidal_position_encoding,
+    Conv1d, Conv2d, DataEmbedding, Dropout, GELU, LayerNorm, Linear,
+    LinearEmbedding, PositionalEmbedding, ReLU, TokenEmbedding,
+    sinusoidal_position_encoding,
 )
-from repro.nn.inception import ConvBackbone2d, InceptionBlock2d
+from repro.nn.inception import InceptionBlock2d
 
 
 class TestLinear:
@@ -66,47 +66,14 @@ class TestNorms:
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         check_gradients(lambda x: layer(x), [x])
 
-    def test_batchnorm_train_stats(self, rng):
-        layer = BatchNorm2d(3)
-        x = Tensor(rng.standard_normal((8, 3, 4, 4)) * 2 + 5)
-        out = layer(x)
-        np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-9)
-        assert layer.running_mean.max() > 0  # updated toward the batch mean
-
-    def test_batchnorm_eval_uses_running(self, rng):
-        layer = BatchNorm2d(2)
-        x = Tensor(rng.standard_normal((4, 2, 3, 3)))
-        layer(x)
-        layer.eval()
-        out1 = layer(x)
-        out2 = layer(x)
-        np.testing.assert_allclose(out1.data, out2.data)
-
-    def test_revin_roundtrip(self, rng):
-        layer = RevIN(3)
-        x = Tensor(rng.standard_normal((2, 10, 3)) * 4 + 7)
-        normed = layer.normalize(x)
-        back = layer.denormalize(normed)
-        np.testing.assert_allclose(back.data, x.data, rtol=1e-6)
-
-    def test_revin_denorm_before_norm_raises(self):
-        with pytest.raises(RuntimeError):
-            RevIN(2).denormalize(Tensor(np.zeros((1, 2, 2))))
-
 
 class TestActivationsAndDropout:
     @pytest.mark.parametrize("mod,fn", [
         (ReLU(), lambda x: np.maximum(x, 0)),
-        (Tanh(), np.tanh),
-        (Identity(), lambda x: x),
     ])
     def test_module_matches_numpy(self, rng, mod, fn):
         x = rng.standard_normal((3, 4))
         np.testing.assert_allclose(mod(Tensor(x)).data, fn(x), rtol=1e-9)
-
-    def test_sigmoid_range(self, rng):
-        out = Sigmoid()(Tensor(rng.standard_normal((10,)) * 5))
-        assert (out.data > 0).all() and (out.data < 1).all()
 
     def test_gelu_zero_at_zero(self):
         assert GELU()(Tensor([0.0])).data[0] == 0.0
@@ -156,11 +123,6 @@ class TestInception:
         block = InceptionBlock2d(3, 5, num_kernels=3)
         out = block(Tensor(rng.standard_normal((2, 3, 7, 9))))
         assert out.shape == (2, 5, 7, 9)
-
-    def test_backbone_roundtrip_channels(self, rng):
-        bb = ConvBackbone2d(4, 8, num_kernels=2)
-        out = bb(Tensor(rng.standard_normal((1, 4, 5, 6))))
-        assert out.shape == (1, 4, 5, 6)
 
     def test_grad_flows(self, rng):
         block = InceptionBlock2d(2, 2, num_kernels=2)

@@ -16,7 +16,7 @@ from repro.autodiff import (
 )
 from repro.spectral import CWTOperator
 from repro.spectral.engine import (
-    DenseSpectralEngine, FFTSpectralEngine, make_engine,
+    DenseSpectralEngine, FFTSpectralEngine, _next_fast_len, make_engine,
 )
 
 COMBOS = [
@@ -105,6 +105,16 @@ class TestFFTDenseEquivalence:
         snapshot = a.copy()
         op.transform_array(rng.standard_normal((2, 48)))
         np.testing.assert_array_equal(a, snapshot)
+
+
+class TestFFTLength:
+    def test_next_fast_len_matches_scipy(self):
+        # scipy is only the reference here.  The FFT length fixes every
+        # float64 output bit, so matching it keeps the goldens stable.
+        from scipy import fft as scipy_fft
+        got = [_next_fast_len(n) for n in range(1, 4097)]
+        want = [scipy_fft.next_fast_len(n) for n in range(1, 4097)]
+        assert got == want
 
 
 class TestFusedAmplitudeGrad:
